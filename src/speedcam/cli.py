@@ -14,7 +14,7 @@ from datetime import datetime
 from pathlib import Path
 
 from speedcam import capture, detector, imaging, mblbp, speedpipe, trainer, uplink
-from speedcam.errors import ConfigError, SpeedcamError
+from speedcam.errors import ConfigError, FormatError, SpeedcamError
 
 TIME_FORMAT = "%Y-%m-%d_%H_%M_%S"
 
@@ -26,7 +26,11 @@ def _log(message: str):
 
 
 def _load_model(path) -> mblbp.CascadeModel:
-    return mblbp.load_model(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read model {path}: {exc}") from None
+    return mblbp.load_model(text)
 
 
 def _detector_params(args) -> detector.DetectorParams:
@@ -459,8 +463,12 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv):
             path = arg.split("=", 1)[1]
     if path is None:
         return
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     overrides = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

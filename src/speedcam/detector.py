@@ -14,7 +14,7 @@ import numpy as np
 from speedcam import kernels
 from speedcam.errors import ConfigError, NoScaleError
 from speedcam.imaging import Frame, Rect, integral, round_half_up
-from speedcam.mblbp import CascadeModel
+from speedcam.mblbp import CascadeModel, scaled_feature_arrays
 
 
 @dataclass(frozen=True)
@@ -114,19 +114,6 @@ def _flatten_model(model: CascadeModel):
     )
 
 
-def _scaled_features(model: CascadeModel, scale: float):
-    fx = np.empty(len(model.features), dtype=np.int64)
-    fy = np.empty_like(fx)
-    fbw = np.empty_like(fx)
-    fbh = np.empty_like(fx)
-    for i, f in enumerate(model.features):
-        fx[i] = round_half_up(f.bx * scale)
-        fy[i] = round_half_up(f.by * scale)
-        fbw[i] = max(1, round_half_up(f.bw * scale))
-        fbh[i] = max(1, round_half_up(f.bh * scale))
-    return fx, fy, fbw, fbh
-
-
 def scan(frame: Frame, model: CascadeModel, params: DetectorParams) -> list[Rect]:
     """All window rects the cascade accepts, scale-major then row-major."""
     schedule = scale_schedule(
@@ -140,7 +127,7 @@ def scan(frame: Frame, model: CascadeModel, params: DetectorParams) -> list[Rect
         win_w = round_half_up(model.window_w * scale)
         win_h = round_half_up(model.window_h * scale)
         stride = max(params.stride_base, round_half_up(scale))
-        fx, fy, fbw, fbh = _scaled_features(model, scale)
+        fx, fy, fbw, fbh = scaled_feature_arrays(model.features, scale)
         # independent rounding can push a scaled feature grid past the
         # scaled window edge; shrink the origin range to whichever is wider
         eff_w = max(win_w, int(np.max(fx + 3 * fbw, initial=0)))

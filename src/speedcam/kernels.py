@@ -1,16 +1,15 @@
-"""Array kernels for pattern codes and cascade window scans.
+"""Array kernels for pattern codes and the cascade window scan.
 
-Two interchangeable backends compute the sliding-window scan: a numba
-JIT kernel and a pure-numpy fallback. Selection is via the
-``SPEEDCAM_BACKEND`` environment variable ("numba", "numpy", or unset
-for automatic). Both produce bit-identical results; votes accumulate in
-weak-classifier order as float64 in either path.
+The scan is vectorized numpy: each stage evaluates its weak classifiers
+at every origin still alive, and origins the stage rejects drop out of
+later stages. Votes accumulate in weak-classifier order as float64, as in
+``mblbp.eval_window``, the scalar reference the tests compare against.
 
 The scan works on flattened model arrays so the hot loop never touches
 Python objects:
 
 * ``fx, fy, fbw, fbh``  per-feature block offsets and block size (already
-  scaled for the current window scale)
+  scaled for the current window scale; see ``mblbp.scaled_feature_arrays``)
 * ``wfeat``             feature index used by each weak classifier
 * ``wsub``              (n_weaks, 8) uint32 bitset; bit c of word c>>5 at
   position c&31 marks code c as in-subset
@@ -19,49 +18,34 @@ Python objects:
 * ``sthr``              per-stage acceptance thresholds
 """
 
-import os
-
 import numpy as np
-
-from speedcam.errors import ConfigError
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    NUMBA_AVAILABLE = False
-
-BACKEND_ENV = "SPEEDCAM_BACKEND"
 
 # neighbor block (row, col) in bit order: TL=bit7, then clockwise to L=bit0
 _NEIGHBOR_ORDER = ((0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0))
 
 
 def selected_backend() -> str:
-    """Resolve the backend name from the environment."""
-    value = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if value in ("", "auto"):
-        return "numba" if NUMBA_AVAILABLE else "numpy"
-    if value == "numpy":
-        return value
-    if value == "numba":
-        if not NUMBA_AVAILABLE:
-            raise ConfigError(f"{BACKEND_ENV}=numba but numba is not importable")
-        return value
-    raise ConfigError(f"unknown {BACKEND_ENV} value {value!r}: use numba or numpy")
+    """Name of the scan implementation; numpy is the only one."""
+    return "numpy"
 
 
-def scan_impl(name: str | None = None):
-    """Return the scan callable for a backend (default: selected_backend())."""
-    backend = selected_backend() if name is None else name
-    if backend == "numpy":
-        return scan_numpy
-    if backend == "numba":
-        if not NUMBA_AVAILABLE:
-            raise ConfigError("numba backend requested but numba is not importable")
-        return _scan_numba
-    raise ConfigError(f"unknown backend {backend!r}: use numba or numpy")
+def scan_impl():
+    """The scan callable ``detector.scan`` uses."""
+    return scan_numpy
+
+
+def _codes(corners: np.ndarray) -> np.ndarray:
+    """uint8 pattern codes from prefix-table corners shaped (4, 4, ...).
+
+    corners[i, j] is the prefix sum at grid row i, column j of the 3x3
+    block grid; the trailing axes index independent grids.
+    """
+    blocks = corners[1:, 1:] - corners[:-1, 1:] - corners[1:, :-1] + corners[:-1, :-1]
+    center = blocks[1, 1]
+    codes = np.zeros(center.shape, dtype=np.uint8)
+    for bit, (i, j) in zip(range(7, -1, -1), _NEIGHBOR_ORDER):
+        codes |= np.uint8(1 << bit) * (blocks[i, j] >= center).astype(np.uint8)
+    return codes
 
 
 def codes_at(sums: np.ndarray, x: np.ndarray, y: np.ndarray, bw: int, bh: int) -> np.ndarray:
@@ -72,20 +56,11 @@ def codes_at(sums: np.ndarray, x: np.ndarray, y: np.ndarray, bw: int, bh: int) -
     """
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
-    lattice = np.empty((4, 4, x.size), dtype=np.int64)
+    corners = np.empty((4, 4, x.size), dtype=np.int64)
     for i in range(4):
         for j in range(4):
-            lattice[i, j] = sums[y + i * bh, x + j * bw]
-    blocks = (
-        lattice[1:, 1:] - lattice[:-1, 1:] - lattice[1:, :-1] + lattice[:-1, :-1]
-    )
-    center = blocks[1, 1]
-    codes = np.zeros(x.size, dtype=np.uint8)
-    bit = 7
-    for i, j in _NEIGHBOR_ORDER:
-        codes |= np.uint8(1 << bit) * (blocks[i, j] >= center).astype(np.uint8)
-        bit -= 1
-    return codes
+            corners[i, j] = sums[y + i * bh, x + j * bw]
+    return _codes(corners)
 
 
 def codes_stack(
@@ -100,26 +75,13 @@ def codes_stack(
     sums_stack is (n_samples, h+1, w+1); the feature arrays describe the
     full feature set at unit scale. Returns (n_samples, n_features) uint8.
     """
-    n = sums_stack.shape[0]
-    nf = fx.size
-    out = np.empty((n, nf), dtype=np.uint8)
-    for f in range(nf):
-        r = fy[f] + np.arange(4) * fbh[f]
-        c = fx[f] + np.arange(4) * fbw[f]
-        lattice = sums_stack[:, r[:, None], c[None, :]]  # (n, 4, 4)
-        blocks = (
-            lattice[:, 1:, 1:]
-            - lattice[:, :-1, 1:]
-            - lattice[:, 1:, :-1]
-            + lattice[:, :-1, :-1]
-        )
-        center = blocks[:, 1, 1]
-        codes = np.zeros(n, dtype=np.uint8)
-        bit = 7
-        for i, j in _NEIGHBOR_ORDER:
-            codes |= np.uint8(1 << bit) * (blocks[:, i, j] >= center).astype(np.uint8)
-            bit -= 1
-        out[:, f] = codes
+    out = np.empty((sums_stack.shape[0], fx.size), dtype=np.uint8)
+    steps = np.arange(4)
+    for f in range(fx.size):
+        r = fy[f] + steps * fbh[f]
+        c = fx[f] + steps * fbw[f]
+        corners = sums_stack[:, r[:, None], c[None, :]]  # (n, 4, 4)
+        out[:, f] = _codes(corners.transpose(1, 2, 0))
     return out
 
 
@@ -128,7 +90,7 @@ def scan_numpy(sums, xs, ys, fx, fy, fbw, fbh, wfeat, wsub, wli, wlo, sbound, st
 
     Returns bool (len(ys), len(xs)); True where every stage sum met its
     threshold. Rejected origins drop out of later stages via a shrinking
-    alive mask, mirroring the JIT kernel's early exit.
+    alive mask.
     """
     ny = ys.size
     nx = xs.size
@@ -148,61 +110,3 @@ def scan_numpy(sums, xs, ys, fx, fy, fbw, fbh, wfeat, wsub, wli, wlo, sbound, st
             acc += np.where(inset.astype(bool), wli[wi], wlo[wi])
         alive[alive] = acc >= sthr[si]
     return alive.reshape(ny, nx)
-
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _block_jit(sums, x, y, w, h):
-        return sums[y + h, x + w] - sums[y, x + w] - sums[y + h, x] + sums[y, x]
-
-    @njit(cache=True)
-    def _code_jit(sums, x, y, bw, bh):
-        center = _block_jit(sums, x + bw, y + bh, bw, bh)
-        code = 0
-        # TL, T, TR, R, BR, B, BL, L at bits 7..0
-        if _block_jit(sums, x, y, bw, bh) >= center:
-            code |= 128
-        if _block_jit(sums, x + bw, y, bw, bh) >= center:
-            code |= 64
-        if _block_jit(sums, x + 2 * bw, y, bw, bh) >= center:
-            code |= 32
-        if _block_jit(sums, x + 2 * bw, y + bh, bw, bh) >= center:
-            code |= 16
-        if _block_jit(sums, x + 2 * bw, y + 2 * bh, bw, bh) >= center:
-            code |= 8
-        if _block_jit(sums, x + bw, y + 2 * bh, bw, bh) >= center:
-            code |= 4
-        if _block_jit(sums, x, y + 2 * bh, bw, bh) >= center:
-            code |= 2
-        if _block_jit(sums, x, y + bh, bw, bh) >= center:
-            code |= 1
-        return code
-
-    @njit(cache=True)
-    def _scan_numba(sums, xs, ys, fx, fy, fbw, fbh, wfeat, wsub, wli, wlo, sbound, sthr):
-        ny = ys.size
-        nx = xs.size
-        out = np.zeros((ny, nx), dtype=np.bool_)
-        for iy in range(ny):
-            oy = ys[iy]
-            for ix in range(nx):
-                ox = xs[ix]
-                ok = True
-                for si in range(sthr.size):
-                    acc = 0.0
-                    for wi in range(sbound[si], sbound[si + 1]):
-                        f = wfeat[wi]
-                        code = _code_jit(sums, ox + fx[f], oy + fy[f], fbw[f], fbh[f])
-                        if (wsub[wi, code >> 5] >> np.uint32(code & 31)) & np.uint32(1):
-                            acc += wli[wi]
-                        else:
-                            acc += wlo[wi]
-                    if acc < sthr[si]:
-                        ok = False
-                        break
-                out[iy, ix] = ok
-        return out
-
-else:  # pragma: no cover - exercised only without numba installed
-    _scan_numba = None

@@ -15,6 +15,8 @@ import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
+import numpy as np
+
 from speedcam.errors import (
     BoundsError,
     FormatError,
@@ -143,6 +145,19 @@ def scaled_grid(f: MbLbpFeature, origin, scale: float):
     bw = max(1, round_half_up(f.bw * scale))
     bh = max(1, round_half_up(f.bh * scale))
     return x, y, bw, bh
+
+
+def scaled_feature_arrays(features, scale: float):
+    """(fx, fy, fbw, fbh) int64 arrays placing a feature table at a scale.
+
+    Entry i is scaled_grid(features[i], (0, 0), scale), the array form the
+    kernels take.
+    """
+    grid = np.array(
+        [scaled_grid(f, (0, 0), scale) for f in features], dtype=np.int64
+    ).reshape(-1, 4)
+    fx, fy, fbw, fbh = grid.T.copy()
+    return fx, fy, fbw, fbh
 
 
 def lbp_code(ii: IntegralImage, f: MbLbpFeature, origin, scale: float = 1.0) -> int:

@@ -22,6 +22,7 @@ from speedcam.mblbp import (
     MbLbpFeature,
     Stage,
     WeakClassifier,
+    scaled_feature_arrays,
     subset_from_codes,
 )
 
@@ -109,11 +110,7 @@ def build_cache(samples: list[TrainSample], features: list[MbLbpFeature]) -> Sam
                 f"does not match {w0}x{h0}"
             )
     sums = np.stack([integral(s.window).sums for s in samples])
-    fx = np.array([f.bx for f in features], dtype=np.int64)
-    fy = np.array([f.by for f in features], dtype=np.int64)
-    fbw = np.array([f.bw for f in features], dtype=np.int64)
-    fbh = np.array([f.bh for f in features], dtype=np.int64)
-    codes = kernels.codes_stack(sums, fx, fy, fbw, fbh)
+    codes = kernels.codes_stack(sums, *scaled_feature_arrays(features, 1.0))
     positive = np.array([s.label == POSITIVE for s in samples], dtype=bool)
     return SampleCache(sums=sums, codes=codes, positive=positive)
 

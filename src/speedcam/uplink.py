@@ -221,7 +221,20 @@ class _IngestHandler(BaseHTTPRequestHandler):
         if length is None:
             self._respond(411, {"message": "Content-Length required", "received": 0})
             return
-        length = int(length)
+        try:
+            length = int(length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True  # the body's extent is unknown
+            self._respond(
+                400,
+                {
+                    "message": "Content-Length must be a non-negative integer",
+                    "received": 0,
+                },
+            )
+            return
         if length > self.server.max_bytes:
             self.close_connection = True
             self._respond(

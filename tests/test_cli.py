@@ -104,6 +104,24 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfe"], ids=["missing", "non-utf8"])
+@pytest.mark.parametrize("flag", ["--model", "--config"])
+def test_unreadable_model_or_config_is_an_error(workflow, capsys, tmp_path, flag, content):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_bytes(content)
+    if flag == "--model":
+        argv = ["detect", "--frames", str(workflow.seq), "--model", str(path)]
+    else:
+        argv = ["--config", str(path), "detect", "--frames", str(workflow.seq)]
+        argv += ["--model", str(workflow.model)]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+    assert "Traceback" not in err
+
+
 def test_synth_writes_readable_sequence(workflow):
     frames = imaging.read_sequence(workflow.seq)
     assert len(frames) == 20

@@ -1,8 +1,10 @@
 """Image transport encoding, payload build, POST upload, and the ingest server."""
 
+import http.client
 import json
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -255,6 +257,23 @@ def test_malformed_json_and_bad_time_are_400(tmp_path):
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(req)
             assert err.value.code == 400
+        assert server.store.list_all() == []
+
+
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_bad_content_length_is_400(tmp_path, length):
+    with serve_ingest("127.0.0.1:0", tmp_path / "server") as server:
+        netloc = urllib.parse.urlsplit(server.endpoint).netloc
+        conn = http.client.HTTPConnection(netloc, timeout=10)
+        try:
+            conn.putrequest("POST", "/uploadData")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert json.loads(resp.read())["received"] == 0
+        finally:
+            conn.close()
         assert server.store.list_all() == []
 
 
