@@ -104,6 +104,14 @@ def _record_from_doc(doc: dict) -> CaptureRecord:
     )
 
 
+def _read_text(path: Path) -> str:
+    """A UTF-8 file's text; StorageError naming the path if it cannot be read."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StorageError(f"cannot read {path}: {exc}") from None
+
+
 class RecordStore:
     """Append-only single-writer store over a directory.
 
@@ -127,15 +135,13 @@ class RecordStore:
 
     def _load(self):
         if self._hwm_path.is_file():
-            text = self._hwm_path.read_text(encoding="utf-8").strip()
+            text = _read_text(self._hwm_path).strip()
             try:
                 self._hwm = int(text)
             except ValueError:
                 raise StorageError(f"corrupt high-water mark {text!r}") from None
         if self._log_path.is_file():
-            for lineno, line in enumerate(
-                self._log_path.read_text(encoding="utf-8").splitlines(), 1
-            ):
+            for lineno, line in enumerate(_read_text(self._log_path).splitlines(), 1):
                 if not line.strip():
                     continue
                 try:

@@ -25,12 +25,16 @@ def _log(message: str):
     print(message, file=sys.stderr)
 
 
-def _load_model(path) -> mblbp.CascadeModel:
+def _read_text(path, what: str, error: type[SpeedcamError]) -> str:
+    """A UTF-8 file named on the command line; ``error`` names it if unreadable."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read model {path}: {exc}") from None
-    return mblbp.load_model(text)
+        raise error(f"cannot read {what} {path}: {exc}") from None
+
+
+def _load_model(path) -> mblbp.CascadeModel:
+    return mblbp.load_model(_read_text(path, "model", FormatError))
 
 
 def _detector_params(args) -> detector.DetectorParams:
@@ -151,7 +155,11 @@ def _calibration_from_args(args, frame_dims) -> speedpipe.CalibrationProfile:
     if (args.px_per_m is None) == (args.calibration is None):
         raise ConfigError("provide exactly one of --px-per-m or --calibration")
     if args.calibration is not None:
-        doc = json.loads(Path(args.calibration).read_text(encoding="utf-8"))
+        path = args.calibration
+        try:
+            doc = json.loads(_read_text(path, "calibration", ConfigError))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"calibration {path} is not JSON: {exc}") from None
         return speedpipe.calibration_from_doc(doc)
     # direct coefficient: record it as a 1-metre reference object
     return speedpipe.calibrate(args.px_per_m, 1.0, 1.0, frame_dims)
@@ -271,7 +279,7 @@ def cmd_serve(args, clock):
 
 def cmd_import_cascade(args, clock):
     model = mblbp.import_cascade_xml(
-        Path(args.infile).read_text(encoding="utf-8"), bit_order=args.bit_order
+        _read_text(args.infile, "cascade", FormatError), bit_order=args.bit_order
     )
     text = mblbp.save_model(model)
     if args.out:
@@ -463,10 +471,13 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv):
             path = arg.split("=", 1)[1]
     if path is None:
         return
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    text = _read_text(path, "config", ConfigError)
+    known = {
+        action.dest
+        for target in parser.config_targets
+        for action in target._actions
+        if action.default is not argparse.SUPPRESS
+    }
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -475,10 +486,13 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
+        dest = key.replace("-", "_")
+        if dest not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            overrides[key.replace("-", "_")] = json.loads(value)
+            overrides[dest] = json.loads(value)
         except json.JSONDecodeError:
-            overrides[key.replace("-", "_")] = value
+            overrides[dest] = value
     for target in parser.config_targets:
         target.set_defaults(**overrides)
 

@@ -266,6 +266,14 @@ def write_sequence(directory, frames: list[Frame]) -> None:
     (directory / MANIFEST_NAME).write_text("".join(lines), encoding="utf-8")
 
 
+def _read_text(path: Path) -> str:
+    """A UTF-8 file's text; FormatError naming the path if it cannot be read."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from None
+
+
 def read_sequence(directory, fps: float | None = None) -> list[Frame]:
     """Load a frame sequence with timestamps from manifest.tsv or a uniform rate.
 
@@ -278,7 +286,7 @@ def read_sequence(directory, fps: float | None = None) -> list[Frame]:
     manifest = directory / MANIFEST_NAME
     entries = []
     if manifest.is_file():
-        for lineno, raw in enumerate(manifest.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(_read_text(manifest).splitlines(), 1):
             line = raw.strip()
             if not line:
                 continue

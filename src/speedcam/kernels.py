@@ -20,6 +20,8 @@ Python objects:
 
 import numpy as np
 
+from speedcam.errors import BoundsError
+
 # neighbor block (row, col) in bit order: TL=bit7, then clockwise to L=bit0
 _NEIGHBOR_ORDER = ((0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0))
 
@@ -74,14 +76,37 @@ def codes_stack(
 
     sums_stack is (n_samples, h+1, w+1); the feature arrays describe the
     full feature set at unit scale. Returns (n_samples, n_features) uint8.
+
+    Features sharing a block size share one code plane: the 16 corners of
+    every origin on the lattice spanned by that group's anchors are
+    strided views of the stack, so each group costs one ``_codes`` call
+    and a gather of its features' columns.
     """
-    out = np.empty((sums_stack.shape[0], fx.size), dtype=np.uint8)
-    steps = np.arange(4)
-    for f in range(fx.size):
-        r = fy[f] + steps * fbh[f]
-        c = fx[f] + steps * fbw[f]
-        corners = sums_stack[:, r[:, None], c[None, :]]  # (n, 4, 4)
-        out[:, f] = _codes(corners.transpose(1, 2, 0))
+    n, h1, w1 = sums_stack.shape
+    # the views below read raw memory, so every grid must lie in the table
+    outside = (fx < 0) | (fy < 0) | (fbw < 1) | (fbh < 1)
+    if (outside | (fx + 3 * fbw >= w1) | (fy + 3 * fbh >= h1)).any():
+        raise BoundsError(f"a feature grid does not fit the {w1 - 1}x{h1 - 1} window")
+    out = np.empty((n, fx.size), dtype=np.uint8)
+    s0, s1, s2 = sums_stack.strides
+    sizes, group = np.unique(np.stack([fbw, fbh], axis=1), axis=0, return_inverse=True)
+    group = group.reshape(-1)  # numpy 2.0.0 returns it as a column
+    for g, (bw, bh) in enumerate(sizes):
+        sel = np.flatnonzero(group == g)
+        gx, gy = fx[sel], fy[sel]
+        x0, y0 = int(gx.min()), int(gy.min())
+        # anchor lattice step; 1 for a lone anchor keeps the arithmetic valid
+        sx = int(np.gcd.reduce(gx - x0)) or 1
+        sy = int(np.gcd.reduce(gy - y0)) or 1
+        nx = (int(gx.max()) - x0) // sx + 1
+        ny = (int(gy.max()) - y0) // sy + 1
+        corners = np.lib.stride_tricks.as_strided(
+            sums_stack[:, y0:, x0:],
+            shape=(4, 4, n, ny, nx),
+            strides=(bh * s1, bw * s2, s0, sy * s1, sx * s2),
+            writeable=False,
+        )
+        out[:, sel] = _codes(corners)[:, (gy - y0) // sy, (gx - x0) // sx]
     return out
 
 

@@ -29,6 +29,9 @@ from speedcam.mblbp import (
 POSITIVE = "positive"
 NEGATIVE = "negative"
 
+# ceiling on a cache's uint8 codes plus best_weak's int64 code indices
+CACHE_MAX_BYTES = 1 << 30
+
 
 @dataclass
 class TrainSample:
@@ -97,7 +100,12 @@ class SampleCache:
 
 
 def build_cache(samples: list[TrainSample], features: list[MbLbpFeature]) -> SampleCache:
-    """Stack integral tables and evaluate every feature on every sample."""
+    """Stack integral tables and evaluate every feature on every sample.
+
+    Refuses with ConfigError, before allocating, when the codes plus the
+    int64 indices ``best_weak`` derives from them would exceed
+    ``CACHE_MAX_BYTES``.
+    """
     if not samples:
         raise ConfigError("no samples")
     if not features:
@@ -109,6 +117,13 @@ def build_cache(samples: list[TrainSample], features: list[MbLbpFeature]) -> Sam
                 f"sample window {s.window.width}x{s.window.height} "
                 f"does not match {w0}x{h0}"
             )
+    need = len(samples) * len(features) * (1 + 8)
+    if need > CACHE_MAX_BYTES:
+        raise ConfigError(
+            f"{len(samples)} samples x {len(features)} features need "
+            f"{need / 2**30:.1f} GiB of training codes, over the "
+            f"{CACHE_MAX_BYTES / 2**30:g} GiB limit; use a larger --feature-stride"
+        )
     sums = np.stack([integral(s.window).sums for s in samples])
     codes = kernels.codes_stack(sums, *scaled_feature_arrays(features, 1.0))
     positive = np.array([s.label == POSITIVE for s in samples], dtype=bool)
@@ -240,18 +255,21 @@ def train_cascade(
     window_h = pos[0].window.height
     features = enumerate_features(window_w, window_h, config.feature_stride)
 
+    # one cache over the positives then every negative; each stage trains
+    # on a row subset: the positives and the still-active negatives, in order
+    full = build_cache(list(pos) + list(neg), features)
+    n_pos = len(pos)
+    active = np.arange(len(neg))
     stages = []
-    active_neg = list(neg)
     for _ in range(config.n_stages):
-        samples = list(pos) + active_neg
-        cache = build_cache(samples, features)
+        rows = np.concatenate([np.arange(n_pos), n_pos + active])
+        cache = SampleCache(full.sums[rows], full.codes[rows], full.positive[rows])
+        samples = list(pos) + [neg[i] for i in active]
         stage = train_stage(samples, features, config, cache)
         stages.append(stage)
-        neg_scores = _stage_scores(stage, cache)[len(pos) :]
-        active_neg = [
-            s for s, score in zip(active_neg, neg_scores) if score >= stage.threshold
-        ]
-        if not active_neg:
+        neg_scores = _stage_scores(stage, cache)[n_pos:]
+        active = active[neg_scores >= stage.threshold]
+        if not active.size:
             break
 
     index_map = {}

@@ -122,6 +122,66 @@ def test_unreadable_model_or_config_is_an_error(workflow, capsys, tmp_path, flag
     assert "Traceback" not in err
 
 
+def _unreadable_input(case, root, workflow):
+    """argv for one unreadable input, and the path the error must name."""
+    bad = b"\xff\xfe not utf-8\n"
+    seq_args = ["--frames", str(workflow.seq), "--model", str(workflow.model)]
+    if case in ("manifest-detect", "manifest-speed"):
+        seq = root / "seq"
+        seq.mkdir()
+        path = seq / imaging.MANIFEST_NAME
+        path.write_bytes(bad)
+        command = case.split("-")[1]
+        argv = [command, "--frames", str(seq), "--model", str(workflow.model)]
+        return argv + (["--px-per-m", "10"] if command == "speed" else []), path
+    if case == "records-log":
+        path = root / "store" / capture.LOG_NAME
+        path.parent.mkdir()
+        path.write_bytes(bad)
+        return ["records", "list", "--store", str(path.parent)], path
+    if case.startswith("calibration"):
+        path = root / "cal.json"
+        if case == "calibration-not-json":
+            path.write_text("{\"pxPerM\": ", encoding="utf-8")
+        return ["speed", *seq_args, "--calibration", str(path)], path
+    path = root / "cascade.xml"
+    if case == "cascade-non-utf8":
+        path.write_bytes(bad)
+    return ["import-cascade", "--in", str(path)], path
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "manifest-detect",
+        "manifest-speed",
+        "records-log",
+        "calibration-missing",
+        "calibration-not-json",
+        "cascade-missing",
+        "cascade-non-utf8",
+    ],
+)
+def test_unreadable_input_files_are_errors(workflow, capsys, tmp_path, case):
+    argv, path = _unreadable_input(case, tmp_path, workflow)
+    capsys.readouterr()
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(path) in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("line", ["func = 1", "scale_factr = 1.2"])
+def test_config_file_rejects_unknown_keys(workflow, capsys, tmp_path, line):
+    cfg = tmp_path / "speedcam.cfg"
+    cfg.write_text(f"# detector\nmin-neighbors = 3\n{line}\n")
+    argv = ["--config", str(cfg), "detect", "--frames", str(workflow.seq)]
+    capsys.readouterr()
+    assert run(argv + ["--model", str(workflow.model)]) == 1
+    key = line.split(" =")[0]
+    assert f"error: {cfg}:3: unknown key {key!r}" in capsys.readouterr().err
+
+
 def test_synth_writes_readable_sequence(workflow):
     frames = imaging.read_sequence(workflow.seq)
     assert len(frames) == 20

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from speedcam import imaging, kernels, mblbp
+from speedcam import imaging, kernels, mblbp, trainer
 from speedcam.detector import _flatten_model
+from speedcam.errors import BoundsError
 from speedcam.imaging import Frame
 
 
@@ -63,6 +64,31 @@ def test_codes_stack_matches_scalar_path():
         ii = imaging.integral(frame)
         for j, f in enumerate(feats):
             assert got[i, j] == mblbp.lbp_code(ii, f, (0, 0))
+
+
+def test_codes_stack_groups_interleaved_block_sizes():
+    # stride-2 anchors in shuffled order: block sizes interleave, so each
+    # block-size plane must gather its features back into their own columns
+    rng = np.random.default_rng(5)
+    frames = [Frame(13, 10, rng.integers(0, 256, (10, 13), np.uint8)) for _ in range(4)]
+    sums = np.stack([imaging.integral(f).sums for f in frames])
+    feats = trainer.enumerate_features(13, 10, 2)
+    feats = [feats[k] for k in rng.permutation(len(feats))]
+    sizes = [(f.bw, f.bh) for f in feats]
+    runs = 1 + sum(a != b for a, b in zip(sizes, sizes[1:]))
+    assert runs > len(set(sizes))  # some block size recurs after another
+    got = kernels.codes_stack(sums, *mblbp.scaled_feature_arrays(feats, 1.0))
+    for i, frame in enumerate(frames):
+        ii = imaging.integral(frame)
+        assert got[i].tolist() == [mblbp.lbp_code(ii, f, (0, 0)) for f in feats]
+
+
+@pytest.mark.parametrize("feat", [(1, 0, 2, 1), (0, 0, 1, 4), (-1, 0, 1, 1)])
+def test_codes_stack_rejects_grids_outside_the_table(feat):
+    sums = np.zeros((2, 10, 7), np.int64)  # 6x9 windows
+    arrays = [np.array([v], np.int64) for v in feat]
+    with pytest.raises(BoundsError):
+        kernels.codes_stack(sums, *arrays)
 
 
 def test_scan_numpy_matches_eval_window_at_every_origin():

@@ -1,6 +1,7 @@
 """Feature enumeration, exact weak learning, boosting, and cascade training."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,6 +114,20 @@ def test_build_cache_codes_match_scalar_path():
         ii = imaging.integral(s.window)
         for j, f in enumerate(features):
             assert cache.codes[i, j] == mblbp.lbp_code(ii, f, (0, 0))
+
+
+def test_build_cache_refuses_codes_over_the_memory_ceiling():
+    # 1800 samples x 67,600 stride-1 features of a 40x40 window need 1.02 GiB;
+    # every sample shares one frame and the refusal comes before any table
+    frame = Frame(40, 40, np.zeros((40, 40), np.uint8))
+    samples = [TrainSample(frame, POSITIVE)] * 900 + [TrainSample(frame, NEGATIVE)] * 900
+    features = enumerate_features(40, 40)
+    assert len(samples) * len(features) * 9 > trainer.CACHE_MAX_BYTES
+    refusal = r"1800 samples x 67600 features.*--feature-stride"
+    with pytest.raises(ConfigError, match=refusal):
+        build_cache(samples, features)
+    with pytest.raises(ConfigError, match="67600 features"):
+        train_cascade(samples[:900], samples[900:], TrainConfig(1, 1))
 
 
 def test_build_cache_rejects_mixed_window_sizes():
@@ -393,3 +408,83 @@ def test_train_cascade_requires_both_pools():
         train_cascade(pos, [], TrainConfig(2, 1))
     with pytest.raises(ConfigError):
         train_cascade([], neg, TrainConfig(2, 1))
+
+
+# --- one cache per cascade ---
+
+
+def _noise_samples(n, size, seed):
+    rng = np.random.default_rng(seed)
+    h, w = size
+
+    def make(label):
+        return TrainSample(Frame(w, h, rng.integers(0, 256, (h, w), np.uint8)), label)
+
+    return [make(POSITIVE) for _ in range(n)], [make(NEGATIVE) for _ in range(n)]
+
+
+def _stages_rebuilding_cache(pos, neg, config):
+    """Reference cascade: a fresh cache over the surviving samples at every stage."""
+    w, h = pos[0].window.width, pos[0].window.height
+    features = enumerate_features(w, h, config.feature_stride)
+    stages = []
+    active = list(neg)
+    for _ in range(config.n_stages):
+        samples = list(pos) + active
+        cache = build_cache(samples, features)
+        stage = train_stage(samples, features, config, cache)
+        stages.append(stage)
+        scores = trainer._stage_scores(stage, cache)[len(pos) :]
+        active = [s for s, score in zip(active, scores) if score >= stage.threshold]
+        if not active:
+            break
+    return features, stages
+
+
+def _assert_same_cascade(model, features, stages):
+    assert len(model.stages) == len(stages)
+    for got, want in zip(model.stages, stages):
+        assert got.threshold == want.threshold
+        assert [model.features[w.feature_index] for w in got.weaks] == [
+            features[w.feature_index] for w in want.weaks
+        ]
+        assert [replace(w, feature_index=0) for w in got.weaks] == [
+            replace(w, feature_index=0) for w in want.weaks
+        ]
+
+
+def _twin_samples():
+    """Twin negatives equal some positives, so no stage can reject them all."""
+    pos, neg = _separable_samples(8, 8, seed=52)
+    return pos, neg + [TrainSample(p.window, NEGATIVE) for p in pos[:3]]
+
+
+def test_train_cascade_equals_per_stage_caches_when_every_stage_trains():
+    pos, neg = _twin_samples()
+    config = TrainConfig(max_weaks_per_stage=2, n_stages=3, stage_tpr_target=1.0)
+    features, stages = _stages_rebuilding_cache(pos, neg, config)
+    assert len(stages) == 3
+    _assert_same_cascade(train_cascade(pos, neg, config), features, stages)
+
+
+def test_train_cascade_equals_per_stage_caches_when_negatives_run_out():
+    pos, neg = _noise_samples(40, (4, 4), seed=0)
+    config = TrainConfig(max_weaks_per_stage=1, n_stages=6, stage_tpr_target=0.9)
+    features, stages = _stages_rebuilding_cache(pos, neg, config)
+    assert 1 < len(stages) < 6  # stages shrank the pool before it emptied
+    _assert_same_cascade(train_cascade(pos, neg, config), features, stages)
+
+
+def test_train_cascade_builds_one_cache(monkeypatch):
+    calls = []
+    real = trainer.build_cache
+
+    def counting(samples, features):
+        calls.append(len(samples))
+        return real(samples, features)
+
+    monkeypatch.setattr(trainer, "build_cache", counting)
+    pos, neg = _twin_samples()
+    model = train_cascade(pos, neg, TrainConfig(2, 3, stage_tpr_target=1.0))
+    assert len(model.stages) == 3
+    assert calls == [len(pos) + len(neg)]
