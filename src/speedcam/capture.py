@@ -20,6 +20,7 @@ from speedcam.errors import (
     FormatError,
     RefusedError,
     StorageError,
+    read_file,
 )
 
 TIME_PATTERN = re.compile(r"\d{4}-\d{2}-\d{2}_\d{2}_\d{2}_\d{2}")
@@ -104,14 +105,6 @@ def _record_from_doc(doc: dict) -> CaptureRecord:
     )
 
 
-def _read_text(path: Path) -> str:
-    """A UTF-8 file's text; StorageError naming the path if it cannot be read."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise StorageError(f"cannot read {path}: {exc}") from None
-
-
 class RecordStore:
     """Append-only single-writer store over a directory.
 
@@ -135,13 +128,14 @@ class RecordStore:
 
     def _load(self):
         if self._hwm_path.is_file():
-            text = _read_text(self._hwm_path).strip()
+            text = read_file(self._hwm_path, StorageError).strip()
             try:
                 self._hwm = int(text)
             except ValueError:
                 raise StorageError(f"corrupt high-water mark {text!r}") from None
         if self._log_path.is_file():
-            for lineno, line in enumerate(_read_text(self._log_path).splitlines(), 1):
+            lines = read_file(self._log_path, StorageError).splitlines()
+            for lineno, line in enumerate(lines, 1):
                 if not line.strip():
                     continue
                 try:

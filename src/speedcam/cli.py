@@ -14,7 +14,7 @@ from datetime import datetime
 from pathlib import Path
 
 from speedcam import capture, detector, imaging, mblbp, speedpipe, trainer, uplink
-from speedcam.errors import ConfigError, FormatError, SpeedcamError
+from speedcam.errors import ConfigError, FormatError, SpeedcamError, read_file
 
 TIME_FORMAT = "%Y-%m-%d_%H_%M_%S"
 
@@ -25,16 +25,8 @@ def _log(message: str):
     print(message, file=sys.stderr)
 
 
-def _read_text(path, what: str, error: type[SpeedcamError]) -> str:
-    """A UTF-8 file named on the command line; ``error`` names it if unreadable."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {what} {path}: {exc}") from None
-
-
 def _load_model(path) -> mblbp.CascadeModel:
-    return mblbp.load_model(_read_text(path, "model", FormatError))
+    return mblbp.load_model(read_file(path, FormatError, "model"))
 
 
 def _detector_params(args) -> detector.DetectorParams:
@@ -49,35 +41,37 @@ def _detector_params(args) -> detector.DetectorParams:
 
 def _add_detector_args(sp):
     g = sp.add_argument_group("detector")
+    defaults = detector.DetectorParams
     g.add_argument(
         "--min-size-fraction",
         type=float,
-        default=0.3,
-        help="smallest window height as a fraction of frame height (default 0.3)",
+        default=defaults.min_size_fraction,
+        help="smallest window height as a fraction of frame height (default %(default)s)",
     )
     g.add_argument(
         "--scale-factor",
         type=float,
-        default=1.1,
-        help="ratio between consecutive scan scales (default 1.1)",
+        default=defaults.scale_factor,
+        help="ratio between consecutive scan scales (default %(default)s)",
     )
     g.add_argument(
         "--stride",
         type=int,
-        default=2,
-        help="slide step floor in pixels; actual step is max(stride, round(scale)) (default 2)",
+        default=defaults.stride_base,
+        help="slide step floor in pixels; actual step is max(stride, round(scale)) "
+        "(default %(default)s)",
     )
     g.add_argument(
         "--min-neighbors",
         type=int,
-        default=3,
-        help="grouped-detection support threshold (default 3)",
+        default=defaults.min_neighbors,
+        help="grouped-detection support threshold (default %(default)s)",
     )
     g.add_argument(
         "--group-eps",
         type=float,
-        default=0.2,
-        help="edge tolerance for rectangle grouping (default 0.2)",
+        default=defaults.group_eps,
+        help="edge tolerance for rectangle grouping (default %(default)s)",
     )
 
 
@@ -117,7 +111,10 @@ def _load_train_dir(path, label) -> list:
     if not windows:
         raise ConfigError(f"no .pgm samples in {directory}")
     return [
-        trainer.TrainSample(imaging.load_pgm(p.read_bytes()), label) for p in windows
+        trainer.TrainSample(
+            imaging.load_pgm(read_file(p, FormatError, "sample", binary=True)), label
+        )
+        for p in windows
     ]
 
 
@@ -157,7 +154,7 @@ def _calibration_from_args(args, frame_dims) -> speedpipe.CalibrationProfile:
     if args.calibration is not None:
         path = args.calibration
         try:
-            doc = json.loads(_read_text(path, "calibration", ConfigError))
+            doc = json.loads(read_file(path, ConfigError, "calibration"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"calibration {path} is not JSON: {exc}") from None
         return speedpipe.calibration_from_doc(doc)
@@ -279,7 +276,7 @@ def cmd_serve(args, clock):
 
 def cmd_import_cascade(args, clock):
     model = mblbp.import_cascade_xml(
-        _read_text(args.infile, "cascade", FormatError), bit_order=args.bit_order
+        read_file(args.infile, FormatError, "cascade"), bit_order=args.bit_order
     )
     text = mblbp.save_model(model)
     if args.out:
@@ -330,7 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fps", type=float, default=30.0, help="frame rate (default 30)")
     sp.add_argument("--seed", type=int, default=0, help="texture seed (default 0)")
     sp.add_argument(
-        "--background", type=int, default=8, help="background gray level (default 8)"
+        "--background",
+        type=int,
+        default=imaging.SynthConfig.background,
+        help="background gray level (default %(default)s)",
     )
     sp.set_defaults(func=cmd_synth)
 
@@ -344,14 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--tpr",
         type=float,
-        default=0.995,
-        help="per-stage positive pass-rate target (default 0.995)",
+        default=trainer.TrainConfig.stage_tpr_target,
+        help="per-stage positive pass-rate target (default %(default)s)",
     )
     sp.add_argument(
         "--feature-stride",
         type=int,
-        default=1,
-        help="feature anchor grid stride (default 1)",
+        default=trainer.TrainConfig.feature_stride,
+        help="feature anchor grid stride (default %(default)s)",
     )
     sp.add_argument("--out", required=True, help="output model JSON path")
     sp.set_defaults(func=cmd_train)
@@ -378,16 +378,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="displacement measure (default euclidean)",
     )
     sp.add_argument(
-        "--window-len", type=int, default=5, help="detections per window (default 5)"
+        "--window-len",
+        type=int,
+        default=speedpipe.SpeedSession.window_len,
+        help="detections per window (default %(default)s)",
     )
     sp.add_argument(
-        "--windows", type=int, default=4, help="windows before complete (default 4)"
+        "--windows",
+        type=int,
+        default=speedpipe.SpeedSession.windows_needed,
+        help="windows before complete (default %(default)s)",
     )
     sp.add_argument(
         "--legacy-coeff",
         type=float,
-        default=0.25,
-        help="reporting-only app-reading coefficient (default 0.25)",
+        default=speedpipe.LEGACY_COEFFICIENT,
+        help="reporting-only app-reading coefficient (default %(default)s)",
     )
     sp.add_argument(
         "--capture",
@@ -471,7 +477,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv):
             path = arg.split("=", 1)[1]
     if path is None:
         return
-    text = _read_text(path, "config", ConfigError)
+    text = read_file(path, ConfigError, "config")
     known = {
         action.dest
         for target in parser.config_targets

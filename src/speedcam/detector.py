@@ -14,7 +14,7 @@ import numpy as np
 from speedcam import kernels
 from speedcam.errors import ConfigError, NoScaleError
 from speedcam.imaging import Frame, Rect, integral, round_half_up
-from speedcam.mblbp import CascadeModel, scaled_feature_arrays
+from speedcam.mblbp import CascadeModel, scaled_feature_arrays, subset_mask
 
 
 @dataclass(frozen=True)
@@ -90,27 +90,14 @@ def scale_schedule(
 
 
 def _flatten_model(model: CascadeModel):
-    wfeat = []
-    wsub = []
-    wli = []
-    wlo = []
-    sbound = [0]
-    sthr = []
-    for stage in model.stages:
-        for w in stage.weaks:
-            wfeat.append(w.feature_index)
-            wsub.append(w.subset)
-            wli.append(w.leaf_in)
-            wlo.append(w.leaf_out)
-        sbound.append(len(wfeat))
-        sthr.append(stage.threshold)
+    """(wfeat, votes, sbound, sthr), the array form ``kernels.scan_numpy`` takes."""
+    weaks = [w for stage in model.stages for w in stage.weaks]
+    votes = [np.where(subset_mask(w.subset), w.leaf_in, w.leaf_out) for w in weaks]
     return (
-        np.asarray(wfeat, dtype=np.int64),
-        np.asarray(wsub, dtype=np.uint32),
-        np.asarray(wli, dtype=np.float64),
-        np.asarray(wlo, dtype=np.float64),
-        np.asarray(sbound, dtype=np.int64),
-        np.asarray(sthr, dtype=np.float64),
+        np.array([w.feature_index for w in weaks], dtype=np.int64),
+        np.array(votes, dtype=np.float64).reshape(-1, 256),
+        np.cumsum([0] + [len(stage.weaks) for stage in model.stages], dtype=np.int64),
+        np.array([stage.threshold for stage in model.stages], dtype=np.float64),
     )
 
 

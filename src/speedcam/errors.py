@@ -1,8 +1,11 @@
 """Exception hierarchy shared across the package.
 
 Everything raised on bad input or bad state derives from SpeedcamError so
-the CLI can map domain failures to a single exit code.
+the CLI can map domain failures to a single exit code. ``read_file`` is the
+one reader for files that come from outside the program.
 """
+
+from pathlib import Path
 
 
 class SpeedcamError(Exception):
@@ -71,3 +74,14 @@ class ProtocolError(SpeedcamError):
 
 class StorageError(SpeedcamError):
     """Record store directory is missing or unreadable."""
+
+
+def read_file(path, error: type[SpeedcamError], what: str = "", binary: bool = False):
+    """A file's UTF-8 text, or its bytes when binary.
+
+    Any failure to read or decode raises ``error`` naming ``what`` and the path.
+    """
+    try:
+        return Path(path).read_bytes() if binary else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what + ' ' if what else ''}{path}: {exc}") from None

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from speedcam.errors import BoundsError, ConfigError, FormatError, TimeOrderError
+from speedcam.errors import BoundsError, ConfigError, FormatError, TimeOrderError, read_file
 
 MAX_DIM = 8192
 
@@ -266,14 +266,6 @@ def write_sequence(directory, frames: list[Frame]) -> None:
     (directory / MANIFEST_NAME).write_text("".join(lines), encoding="utf-8")
 
 
-def _read_text(path: Path) -> str:
-    """A UTF-8 file's text; FormatError naming the path if it cannot be read."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from None
-
-
 def read_sequence(directory, fps: float | None = None) -> list[Frame]:
     """Load a frame sequence with timestamps from manifest.tsv or a uniform rate.
 
@@ -286,7 +278,7 @@ def read_sequence(directory, fps: float | None = None) -> list[Frame]:
     manifest = directory / MANIFEST_NAME
     entries = []
     if manifest.is_file():
-        for lineno, raw in enumerate(_read_text(manifest).splitlines(), 1):
+        for lineno, raw in enumerate(read_file(manifest, FormatError).splitlines(), 1):
             line = raw.strip()
             if not line:
                 continue
@@ -319,14 +311,14 @@ def read_sequence(directory, fps: float | None = None) -> list[Frame]:
     last_ts = -1
     for name, ts in entries:
         path = directory / name
-        if not path.is_file():
+        if not path.exists():
             raise FormatError(f"manifest names missing file {name}")
         if ts <= last_ts:
             raise TimeOrderError(
                 f"timestamp {ts} for {name} does not exceed previous {last_ts}"
             )
         last_ts = ts
-        frame = load_pgm(path.read_bytes())
+        frame = load_pgm(read_file(path, FormatError, binary=True))
         frame.timestamp_ms = ts
         frames.append(frame)
     return frames

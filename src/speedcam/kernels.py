@@ -11,9 +11,8 @@ Python objects:
 * ``fx, fy, fbw, fbh``  per-feature block offsets and block size (already
   scaled for the current window scale; see ``mblbp.scaled_feature_arrays``)
 * ``wfeat``             feature index used by each weak classifier
-* ``wsub``              (n_weaks, 8) uint32 bitset; bit c of word c>>5 at
-  position c&31 marks code c as in-subset
-* ``wli, wlo``          in-subset / out-of-subset votes per weak
+* ``votes``             (n_weaks, 256) float64; votes[w, c] is weak w's vote
+  for code c (leaf_in where ``mblbp.subset_mask`` holds c, else leaf_out)
 * ``sbound``            stage boundaries into the weak arrays (len n_stages+1)
 * ``sthr``              per-stage acceptance thresholds
 """
@@ -54,15 +53,20 @@ def codes_at(sums: np.ndarray, x: np.ndarray, y: np.ndarray, bw: int, bh: int) -
     """Pattern codes for one block geometry at many origins (vectorized).
 
     sums is a prefix table; x and y are equal-length origin arrays.
-    Returns uint8 codes.
+    Returns uint8 codes. All 16 corners of every grid come from one read
+    of the flattened table; a grid that leaves the table is a BoundsError.
     """
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
-    corners = np.empty((4, 4, x.size), dtype=np.int64)
-    for i in range(4):
-        for j in range(4):
-            corners[i, j] = sums[y + i * bh, x + j * bw]
-    return _codes(corners)
+    h1, w1 = sums.shape
+    # the flat read wraps across rows, so every grid must lie in the table
+    if x.size and (
+        min(x.min(), y.min()) < 0 or x.max() + 3 * bw >= w1 or y.max() + 3 * bh >= h1
+    ):
+        raise BoundsError(f"a grid of {bw}x{bh} blocks leaves the {w1 - 1}x{h1 - 1} table")
+    i, j = np.ogrid[:4, :4]
+    offsets = (i * (bh * w1) + j * bw)[:, :, None]
+    return _codes(sums.take(offsets + (y * w1 + x)))  # take reads the flattened table
 
 
 def codes_stack(
@@ -110,7 +114,7 @@ def codes_stack(
     return out
 
 
-def scan_numpy(sums, xs, ys, fx, fy, fbw, fbh, wfeat, wsub, wli, wlo, sbound, sthr):
+def scan_numpy(sums, xs, ys, fx, fy, fbw, fbh, wfeat, votes, sbound, sthr):
     """Cascade acceptance mask over an origin grid, vectorized numpy path.
 
     Returns bool (len(ys), len(xs)); True where every stage sum met its
@@ -131,7 +135,6 @@ def scan_numpy(sums, xs, ys, fx, fy, fbw, fbh, wfeat, wsub, wli, wlo, sbound, st
         for wi in range(sbound[si], sbound[si + 1]):
             f = wfeat[wi]
             codes = codes_at(sums, ax + fx[f], ay + fy[f], int(fbw[f]), int(fbh[f]))
-            inset = (wsub[wi, codes >> 5] >> (codes & 31)) & 1
-            acc += np.where(inset.astype(bool), wli[wi], wlo[wi])
+            acc += votes[wi][codes]
         alive[alive] = acc >= sthr[si]
     return alive.reshape(ny, nx)

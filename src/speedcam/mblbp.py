@@ -124,6 +124,13 @@ def subset_contains(words, code: int) -> bool:
     return (words[code >> 5] >> (code & 31)) & 1 == 1
 
 
+def subset_mask(words) -> np.ndarray:
+    """(256,) bool; entry c is subset_contains(words, c), for every code at once."""
+    return np.unpackbits(
+        np.asarray(words, dtype="<u4").view(np.uint8), bitorder="little"
+    ).astype(bool)
+
+
 def subset_from_codes(codes) -> tuple:
     """Build the 8-word mask whose set bits are exactly the given codes."""
     words = [0] * SUBSET_WORDS

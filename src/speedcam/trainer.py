@@ -24,6 +24,7 @@ from speedcam.mblbp import (
     WeakClassifier,
     scaled_feature_arrays,
     subset_from_codes,
+    subset_mask,
 )
 
 POSITIVE = "positive"
@@ -31,6 +32,10 @@ NEGATIVE = "negative"
 
 # ceiling on a cache's uint8 codes plus best_weak's int64 code indices
 CACHE_MAX_BYTES = 1 << 30
+
+# boosting clamps a weak's error into [EPSILON_CLAMP, 1 - EPSILON_CLAMP],
+# so a perfect weak gets a finite alpha
+EPSILON_CLAMP = 1e-10
 
 
 @dataclass
@@ -54,7 +59,6 @@ class TrainConfig:
     n_stages: int
     stage_tpr_target: float = 0.995
     feature_stride: int = 1
-    epsilon_clamp: float = 1e-10
 
     def __post_init__(self):
         if self.max_weaks_per_stage < 1:
@@ -67,8 +71,6 @@ class TrainConfig:
             )
         if self.feature_stride < 1:
             raise ConfigError("feature_stride must be at least 1")
-        if not (0.0 < self.epsilon_clamp < 0.5):
-            raise ConfigError("epsilon_clamp must lie in (0, 0.5)")
 
 
 def enumerate_features(window_w: int, window_h: int, stride: int = 1) -> list[MbLbpFeature]:
@@ -92,9 +94,8 @@ def enumerate_features(window_w: int, window_h: int, stride: int = 1) -> list[Mb
 
 @dataclass(eq=False)
 class SampleCache:
-    """Precomputed per-sample integral tables and per-feature codes."""
+    """Precomputed per-feature codes of every sample."""
 
-    sums: np.ndarray  # (n, h+1, w+1) int64
     codes: np.ndarray  # (n, n_features) uint8
     positive: np.ndarray  # (n,) bool
 
@@ -127,7 +128,7 @@ def build_cache(samples: list[TrainSample], features: list[MbLbpFeature]) -> Sam
     sums = np.stack([integral(s.window).sums for s in samples])
     codes = kernels.codes_stack(sums, *scaled_feature_arrays(features, 1.0))
     positive = np.array([s.label == POSITIVE for s in samples], dtype=bool)
-    return SampleCache(sums=sums, codes=codes, positive=positive)
+    return SampleCache(codes=codes, positive=positive)
 
 
 def best_weak(
@@ -167,28 +168,20 @@ def best_weak(
     return weak, float(errors[fbest])
 
 
-def _subset_lut(weak: WeakClassifier) -> np.ndarray:
-    words = np.asarray(weak.subset, dtype=np.uint64)
-    codes = np.arange(256)
-    return ((words[codes >> 5] >> (codes & 31).astype(np.uint64)) & 1).astype(bool)
-
-
 def boost_round(
     samples: list[TrainSample],
     weak: WeakClassifier,
     error: float,
     cache: SampleCache,
-    epsilon_clamp: float = 1e-10,
 ):
     """One discrete boosting update: (alpha, reweighted samples).
 
     alpha = half the log odds of the clamped error; correct samples
     scale by e^-alpha, mistakes by e^alpha, then weights renormalize.
     """
-    eps = min(max(error, epsilon_clamp), 1.0 - epsilon_clamp)
+    eps = min(max(error, EPSILON_CLAMP), 1.0 - EPSILON_CLAMP)
     alpha = 0.5 * math.log((1.0 - eps) / eps)
-    lut = _subset_lut(weak)
-    predicted_pos = lut[cache.codes[:, weak.feature_index]]
+    predicted_pos = subset_mask(weak.subset)[cache.codes[:, weak.feature_index]]
     correct = predicted_pos == cache.positive
     weights = np.array([s.weight for s in samples], dtype=np.float64)
     weights = weights * np.where(correct, math.exp(-alpha), math.exp(alpha))
@@ -200,8 +193,7 @@ def boost_round(
 def _stage_scores(stage: Stage, cache: SampleCache) -> np.ndarray:
     scores = np.zeros(cache.codes.shape[0], dtype=np.float64)
     for w in stage.weaks:
-        lut = _subset_lut(w)
-        inset = lut[cache.codes[:, w.feature_index]]
+        inset = subset_mask(w.subset)[cache.codes[:, w.feature_index]]
         scores += np.where(inset, w.leaf_in, w.leaf_out)
     return scores
 
@@ -228,9 +220,9 @@ def train_stage(
     folded = []
     for _ in range(config.max_weaks_per_stage):
         weak, err = best_weak(current, features, cache)
-        alpha, current = boost_round(current, weak, err, cache, config.epsilon_clamp)
+        alpha, current = boost_round(current, weak, err, cache)
         folded.append(replace(weak, leaf_in=alpha, leaf_out=-alpha))
-        if err < config.epsilon_clamp:
+        if err < EPSILON_CLAMP:
             break
     stage = Stage(threshold=0.0, weaks=tuple(folded))
     scores = _stage_scores(stage, cache)
@@ -263,7 +255,7 @@ def train_cascade(
     stages = []
     for _ in range(config.n_stages):
         rows = np.concatenate([np.arange(n_pos), n_pos + active])
-        cache = SampleCache(full.sums[rows], full.codes[rows], full.positive[rows])
+        cache = SampleCache(full.codes[rows], full.positive[rows])
         samples = list(pos) + [neg[i] for i in active]
         stage = train_stage(samples, features, config, cache)
         stages.append(stage)

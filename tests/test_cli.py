@@ -10,7 +10,7 @@ import pytest
 from conftest import _build_patch_case
 from test_mblbp import XML_EXPECTED, XML_FIXTURE
 
-from speedcam import capture, cli, imaging, mblbp
+from speedcam import capture, cli, detector, imaging, mblbp, speedpipe, trainer
 from speedcam.capture import make_record
 from speedcam.cli import run
 
@@ -91,6 +91,26 @@ def test_every_subcommand_documents_its_flags(capsys):
             assert flag in out, f"{name} help missing {flag}"
 
 
+def test_flag_defaults_match_the_library_defaults():
+    parse = cli.build_parser().parse_args
+    seq = ["--frames", "seq", "--model", "m.json"]
+    for args in (parse(["detect", *seq]), parse(["speed", *seq])):
+        assert cli._detector_params(args) == detector.DetectorParams()
+    args = parse(["speed", *seq])
+    session = speedpipe.SpeedSession()
+    assert (args.window_len, args.windows) == (session.window_len, session.windows_needed)
+    assert args.legacy_coeff == speedpipe.LEGACY_COEFFICIENT
+    args = parse(["train", "--pos", "p", "--neg", "n", "--out", "m.json"])
+    config = trainer.TrainConfig(args.max_weaks, args.stages)
+    assert (args.tpr, args.feature_stride) == (
+        config.stage_tpr_target,
+        config.feature_stride,
+    )
+    args = parse(["synth", "--out", "seq", "--patch", "0", "0", "8", "8"])
+    synth = imaging.SynthConfig(8, 8, imaging.Rect(0, 0, 8, 8), (0.0, 0.0), 1)
+    assert args.background == synth.background
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])
@@ -139,6 +159,19 @@ def _unreadable_input(case, root, workflow):
         path.parent.mkdir()
         path.write_bytes(bad)
         return ["records", "list", "--store", str(path.parent)], path
+    if case == "train-sample-directory":
+        pos, neg = root / "pos", root / "neg"
+        path = pos / "sub.pgm"
+        path.mkdir(parents=True)
+        neg.mkdir()
+        argv = ["train", "--pos", str(pos), "--neg", str(neg), "--out", str(root / "m.json")]
+        return argv, path
+    if case == "frame-directory-no-manifest":
+        seq = root / "seq"
+        path = seq / "frame_00001.pgm"
+        path.mkdir(parents=True)
+        argv = ["detect", "--frames", str(seq), "--fps", "30", "--model", str(workflow.model)]
+        return argv, path
     if case.startswith("calibration"):
         path = root / "cal.json"
         if case == "calibration-not-json":
@@ -160,6 +193,8 @@ def _unreadable_input(case, root, workflow):
         "calibration-not-json",
         "cascade-missing",
         "cascade-non-utf8",
+        "train-sample-directory",
+        "frame-directory-no-manifest",
     ],
 )
 def test_unreadable_input_files_are_errors(workflow, capsys, tmp_path, case):

@@ -50,6 +50,30 @@ def test_codes_at_matches_scalar_path():
         assert got.tolist() == want
 
 
+@pytest.mark.parametrize(
+    "shift",
+    [None, (-1, 0), (0, -1), (1, 0), (0, 1)],
+    ids=["fits", "x<0", "y<0", "x+1", "y+1"],
+)
+def test_codes_at_rejects_grids_outside_the_table(shift):
+    # 13x10 frame, 3x2 blocks: the last grid that fits starts at (4, 4)
+    rng = np.random.default_rng(6)
+    ii = imaging.integral(Frame(13, 10, rng.integers(0, 256, (10, 13), np.uint8)))
+    x = np.array([0, 2, 4], np.int64)
+    y = np.array([0, 3, 4], np.int64)
+    if shift is None:
+        got = kernels.codes_at(ii.sums, x, y, 3, 2)
+        f = mblbp.MbLbpFeature(0, 0, 3, 2)
+        assert got.tolist() == [mblbp.lbp_code(ii, f, (int(a), int(b))) for a, b in zip(x, y)]
+        return
+    # only one grid leaves the table: the corner one, or the origin one
+    k = 2 if shift[0] + shift[1] > 0 else 0
+    x[k] += shift[0]
+    y[k] += shift[1]
+    with pytest.raises(BoundsError):
+        kernels.codes_at(ii.sums, x, y, 3, 2)
+
+
 def test_codes_stack_matches_scalar_path():
     rng = np.random.default_rng(3)
     frames = [Frame(12, 9, rng.integers(0, 256, (9, 12), np.uint8)) for _ in range(6)]

@@ -18,6 +18,7 @@ from speedcam.mblbp import (
     save_model,
     subset_contains,
     subset_from_codes,
+    subset_mask,
 )
 
 FULL = (0xFFFFFFFF,) * 8
@@ -136,6 +137,17 @@ def test_subset_round_trip_random_sets():
         words = subset_from_codes(members)
         for c in range(256):
             assert subset_contains(words, c) == (c in members)
+
+
+def test_subset_mask_matches_subset_contains():
+    rng = np.random.default_rng(13)
+    randoms = [
+        tuple(int(v) for v in rng.integers(0, 2**32, 8, dtype=np.uint64)) for _ in range(20)
+    ]
+    for words in [EMPTY, FULL, *randoms]:
+        mask = subset_mask(words)
+        assert mask.shape == (256,) and mask.dtype == bool
+        assert mask.tolist() == [subset_contains(words, c) for c in range(256)]
 
 
 def test_subset_rejects_out_of_range_code():

@@ -280,7 +280,7 @@ def test_boost_round_clamps_zero_error():
     cache = build_cache(samples, features)
     weak, err = best_weak(samples, features, cache)
     assert err == 0.0
-    alpha, updated = boost_round(samples, weak, err, cache, epsilon_clamp=1e-10)
+    alpha, updated = boost_round(samples, weak, err, cache)
     assert math.isfinite(alpha)
     assert alpha == pytest.approx(0.5 * math.log((1 - 1e-10) / 1e-10))
     assert all(math.isfinite(s.weight) and s.weight > 0 for s in updated)
@@ -357,8 +357,6 @@ def test_train_config_validation():
         TrainConfig(1, 1, stage_tpr_target=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(1, 1, feature_stride=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(1, 1, epsilon_clamp=0.5)
 
 
 # --- cascade training ---
