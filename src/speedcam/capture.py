@@ -122,8 +122,10 @@ class RecordStore:
         self._records: list[CaptureRecord] = []
         self._filenames: set[str] = set()
         self._hwm = 0
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.images_dir.mkdir(exist_ok=True)
+        try:
+            self.images_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise StorageError(f"cannot create record store {self.directory}: {exc}") from None
         self._load()
 
     def _load(self):

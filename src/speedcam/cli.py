@@ -14,7 +14,14 @@ from datetime import datetime
 from pathlib import Path
 
 from speedcam import capture, detector, imaging, mblbp, speedpipe, trainer, uplink
-from speedcam.errors import ConfigError, FormatError, SpeedcamError, read_file
+from speedcam.errors import (
+    ConfigError,
+    FormatError,
+    SpeedcamError,
+    StorageError,
+    read_file,
+    write_file,
+)
 
 TIME_FORMAT = "%Y-%m-%d_%H_%M_%S"
 
@@ -128,7 +135,7 @@ def cmd_train(args, clock):
         feature_stride=args.feature_stride,
     )
     model = trainer.train_cascade(pos, neg, config)
-    Path(args.out).write_text(mblbp.save_model(model), encoding="utf-8")
+    write_file(args.out, mblbp.save_model(model), StorageError, "model")
     _log(
         f"trained {len(model.stages)} stage(s), "
         f"{sum(len(s.weaks) for s in model.stages)} weak(s) over "
@@ -221,7 +228,7 @@ def cmd_calibrate(args, clock):
     cal = speedpipe.calibrate(args.object_px, args.object_m, args.distance_m, frame_dims)
     text = json.dumps(cal.to_doc(), indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_file(args.out, text, StorageError, "calibration")
         _log(f"wrote calibration ({cal.px_per_m:.4f} px/m) to {args.out}")
     else:
         sys.stdout.write(text)
@@ -280,7 +287,7 @@ def cmd_import_cascade(args, clock):
     )
     text = mblbp.save_model(model)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_file(args.out, text, StorageError, "model")
         _log(
             f"imported {len(model.stages)} stage(s), "
             f"{len(model.features)} feature(s) -> {args.out}"

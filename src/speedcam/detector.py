@@ -14,7 +14,7 @@ import numpy as np
 from speedcam import kernels
 from speedcam.errors import ConfigError, NoScaleError
 from speedcam.imaging import Frame, Rect, integral, round_half_up
-from speedcam.mblbp import CascadeModel, scaled_feature_arrays, subset_mask
+from speedcam.mblbp import CascadeModel, scaled_feature_arrays, vote_table
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,9 @@ def scale_schedule(
 def _flatten_model(model: CascadeModel):
     """(wfeat, votes, sbound, sthr), the array form ``kernels.scan_numpy`` takes."""
     weaks = [w for stage in model.stages for w in stage.weaks]
-    votes = [np.where(subset_mask(w.subset), w.leaf_in, w.leaf_out) for w in weaks]
     return (
         np.array([w.feature_index for w in weaks], dtype=np.int64),
-        np.array(votes, dtype=np.float64).reshape(-1, 256),
+        vote_table(weaks),
         np.cumsum([0] + [len(stage.weaks) for stage in model.stages], dtype=np.int64),
         np.array([stage.threshold for stage in model.stages], dtype=np.float64),
     )
@@ -129,59 +128,47 @@ def scan(frame: Frame, model: CascadeModel, params: DetectorParams) -> list[Rect
     return out
 
 
-def _similar(r: Rect, q: Rect, eps: float) -> bool:
-    dw = eps * (r.w + q.w) / 2.0
-    dh = eps * (r.h + q.h) / 2.0
-    return (
-        abs(r.x - q.x) <= dw
-        and abs((r.x + r.w) - (q.x + q.w)) <= dw
-        and abs(r.y - q.y) <= dh
-        and abs((r.y + r.h) - (q.y + q.h)) <= dh
-    )
-
-
 def group_rects(
     cands: list[Rect], params: DetectorParams, window_h: int | None = None
 ) -> list[Detection]:
     """Fuse similar rects into Detections with at least min_neighbors support.
 
-    Similarity (edge-wise proximity within group_eps of the pair's mean
-    size) is closed transitively. Each surviving class becomes one
-    Detection at the member-wise mean rect, sorted by descending area
-    then ascending (y, x). window_h, when given, anchors the reported
-    scale; otherwise scale is 1.0.
+    Two rects are similar when each edge lies within group_eps of the
+    pair's mean size. Similarity is closed transitively by a breadth-first
+    search that compares one rect with every rect not yet in a class, so
+    time is O(n^2) and memory O(n). Classes come out in order of their
+    smallest index. Each surviving class becomes one Detection at the
+    member-wise mean rect, sorted by descending area then ascending (y, x).
+    window_h, when given, anchors the reported scale; otherwise scale is 1.0.
     """
-    n = len(cands)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _similar(cands[i], cands[j], params.group_eps):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-
-    classes = {}
-    for i in range(n):
-        classes.setdefault(find(i), []).append(cands[i])
-
+    r = np.array([(c.x, c.y, c.w, c.h) for c in cands], dtype=np.int64).reshape(-1, 4)
+    x, y, w, h = r.T
+    x2, y2 = x + w, y + h
+    eps = params.group_eps
+    seen = np.zeros(len(r), dtype=bool)
     dets = []
-    for members in classes.values():
-        if len(members) < params.min_neighbors:
+    for start in range(len(r)):
+        if seen[start]:
             continue
+        seen[start] = True
+        members = [start]
+        for i in members:  # members doubles as the search queue
+            dw = eps * (w[i] + w) / 2.0
+            dh = eps * (h[i] + h) / 2.0
+            near = np.flatnonzero(
+                ~seen
+                & (np.abs(x[i] - x) <= dw)
+                & (np.abs(x2[i] - x2) <= dw)
+                & (np.abs(y[i] - y) <= dh)
+                & (np.abs(y2[i] - y2) <= dh)
+            )
+            seen[near] = True
+            members.extend(near.tolist())
         k = len(members)
-        rect = Rect(
-            round_half_up(sum(r.x for r in members) / k),
-            round_half_up(sum(r.y for r in members) / k),
-            round_half_up(sum(r.w for r in members) / k),
-            round_half_up(sum(r.h for r in members) / k),
-        )
+        if k < params.min_neighbors:
+            continue
+        # exact int64 sums, so each mean is the correctly rounded sum / k
+        rect = Rect(*(round_half_up(s / k) for s in r[members].sum(axis=0).tolist()))
         scale = rect.h / window_h if window_h else 1.0
         dets.append(Detection(rect, scale, k))
     dets.sort(key=_det_order)

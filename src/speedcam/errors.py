@@ -2,7 +2,8 @@
 
 Everything raised on bad input or bad state derives from SpeedcamError so
 the CLI can map domain failures to a single exit code. ``read_file`` is the
-one reader for files that come from outside the program.
+one reader for files that come from outside the program, and ``write_file``
+the one writer of files at paths given from outside.
 """
 
 from pathlib import Path
@@ -73,7 +74,7 @@ class ProtocolError(SpeedcamError):
 
 
 class StorageError(SpeedcamError):
-    """Record store directory is missing or unreadable."""
+    """A record store or output path cannot be created, read or written."""
 
 
 def read_file(path, error: type[SpeedcamError], what: str = "", binary: bool = False):
@@ -85,3 +86,14 @@ def read_file(path, error: type[SpeedcamError], what: str = "", binary: bool = F
         return Path(path).read_bytes() if binary else Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what + ' ' if what else ''}{path}: {exc}") from None
+
+
+def write_file(path, data, error: type[SpeedcamError], what: str = "") -> None:
+    """Write text as UTF-8, or bytes as they are, to path.
+
+    Any failure to write raises ``error`` naming ``what`` and the path.
+    """
+    try:
+        Path(path).write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    except OSError as exc:
+        raise error(f"cannot write {what + ' ' if what else ''}{path}: {exc}") from None

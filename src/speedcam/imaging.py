@@ -12,7 +12,15 @@ from pathlib import Path
 
 import numpy as np
 
-from speedcam.errors import BoundsError, ConfigError, FormatError, TimeOrderError, read_file
+from speedcam.errors import (
+    BoundsError,
+    ConfigError,
+    FormatError,
+    StorageError,
+    TimeOrderError,
+    read_file,
+    write_file,
+)
 
 MAX_DIM = 8192
 
@@ -257,13 +265,16 @@ def draw_rect(frame: Frame, r: Rect, value: int = 255) -> Frame:
 def write_sequence(directory, frames: list[Frame]) -> None:
     """Write frames as frame_<k>.pgm files plus a manifest.tsv of timestamps."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise StorageError(f"cannot create sequence directory {directory}: {exc}") from None
     lines = []
     for k, frame in enumerate(frames):
         name = f"frame_{k:05d}.pgm"
-        (directory / name).write_bytes(save_pgm(frame))
+        write_file(directory / name, save_pgm(frame), StorageError, "frame")
         lines.append(f"{name}\t{frame.timestamp_ms}\n")
-    (directory / MANIFEST_NAME).write_text("".join(lines), encoding="utf-8")
+    write_file(directory / MANIFEST_NAME, "".join(lines), StorageError, "manifest")
 
 
 def read_sequence(directory, fps: float | None = None) -> list[Frame]:

@@ -11,8 +11,8 @@ Python objects:
 * ``fx, fy, fbw, fbh``  per-feature block offsets and block size (already
   scaled for the current window scale; see ``mblbp.scaled_feature_arrays``)
 * ``wfeat``             feature index used by each weak classifier
-* ``votes``             (n_weaks, 256) float64; votes[w, c] is weak w's vote
-  for code c (leaf_in where ``mblbp.subset_mask`` holds c, else leaf_out)
+* ``votes``             (n_weaks, 256) float64 ``mblbp.vote_table``; votes[w, c]
+  is weak w's vote for code c
 * ``sbound``            stage boundaries into the weak arrays (len n_stages+1)
 * ``sthr``              per-stage acceptance thresholds
 """

@@ -131,6 +131,17 @@ def subset_mask(words) -> np.ndarray:
     ).astype(bool)
 
 
+def vote_table(weaks) -> np.ndarray:
+    """(len(weaks), 256) float64; row k is weaks[k]'s vote for every code.
+
+    An entry is leaf_in where the weak's subset_mask holds the code, else leaf_out.
+    """
+    return np.array(
+        [np.where(subset_mask(w.subset), w.leaf_in, w.leaf_out) for w in weaks],
+        dtype=np.float64,
+    ).reshape(-1, 256)
+
+
 def subset_from_codes(codes) -> tuple:
     """Build the 8-word mask whose set bits are exactly the given codes."""
     words = [0] * SUBSET_WORDS

@@ -25,13 +25,19 @@ from speedcam.mblbp import (
     scaled_feature_arrays,
     subset_from_codes,
     subset_mask,
+    vote_table,
 )
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
 
-# ceiling on a cache's uint8 codes plus best_weak's int64 code indices
+# ceiling on the feature table plus a cache's uint8 codes and best_weak's
+# int64 code indices
 CACHE_MAX_BYTES = 1 << 30
+
+# one enumerated MbLbpFeature (112 B on 64-bit CPython, by tracemalloc) plus
+# its four int64 entries in scaled_feature_arrays
+FEATURE_BYTES = 144
 
 # boosting clamps a weak's error into [EPSILON_CLAMP, 1 - EPSILON_CLAMP],
 # so a perfect weak gets a finite alpha
@@ -92,6 +98,30 @@ def enumerate_features(window_w: int, window_h: int, stride: int = 1) -> list[Mb
     return features
 
 
+def feature_count(window_w: int, window_h: int, stride: int = 1) -> int:
+    """len(enumerate_features(window_w, window_h, stride)), without enumerating.
+
+    A feature's x choices (bw, then bx) do not depend on its y choices (bh,
+    then by), so the count is the product of one sum per axis.
+    """
+
+    def anchors(size):
+        return sum((size - 3 * b) // stride + 1 for b in range(1, size // 3 + 1))
+
+    return anchors(window_w) * anchors(window_h)
+
+
+def _check_cache_size(n_samples: int, n_features: int) -> None:
+    """Refuse with ConfigError when a cache would exceed CACHE_MAX_BYTES."""
+    need = n_features * (n_samples * (1 + 8) + FEATURE_BYTES)
+    if need > CACHE_MAX_BYTES:
+        raise ConfigError(
+            f"{n_samples} samples x {n_features} features need "
+            f"{need / 2**30:.1f} GiB of features and training codes, over "
+            f"the {CACHE_MAX_BYTES / 2**30:g} GiB limit; use a larger --feature-stride"
+        )
+
+
 @dataclass(eq=False)
 class SampleCache:
     """Precomputed per-feature codes of every sample."""
@@ -103,9 +133,9 @@ class SampleCache:
 def build_cache(samples: list[TrainSample], features: list[MbLbpFeature]) -> SampleCache:
     """Stack integral tables and evaluate every feature on every sample.
 
-    Refuses with ConfigError, before allocating, when the codes plus the
-    int64 indices ``best_weak`` derives from them would exceed
-    ``CACHE_MAX_BYTES``.
+    Refuses with ConfigError, before allocating, when the feature table,
+    the codes and the int64 indices ``best_weak`` derives from them would
+    exceed ``CACHE_MAX_BYTES`` (``_check_cache_size``).
     """
     if not samples:
         raise ConfigError("no samples")
@@ -118,13 +148,7 @@ def build_cache(samples: list[TrainSample], features: list[MbLbpFeature]) -> Sam
                 f"sample window {s.window.width}x{s.window.height} "
                 f"does not match {w0}x{h0}"
             )
-    need = len(samples) * len(features) * (1 + 8)
-    if need > CACHE_MAX_BYTES:
-        raise ConfigError(
-            f"{len(samples)} samples x {len(features)} features need "
-            f"{need / 2**30:.1f} GiB of training codes, over the "
-            f"{CACHE_MAX_BYTES / 2**30:g} GiB limit; use a larger --feature-stride"
-        )
+    _check_cache_size(len(samples), len(features))
     sums = np.stack([integral(s.window).sums for s in samples])
     codes = kernels.codes_stack(sums, *scaled_feature_arrays(features, 1.0))
     positive = np.array([s.label == POSITIVE for s in samples], dtype=bool)
@@ -192,9 +216,8 @@ def boost_round(
 
 def _stage_scores(stage: Stage, cache: SampleCache) -> np.ndarray:
     scores = np.zeros(cache.codes.shape[0], dtype=np.float64)
-    for w in stage.weaks:
-        inset = subset_mask(w.subset)[cache.codes[:, w.feature_index]]
-        scores += np.where(inset, w.leaf_in, w.leaf_out)
+    for votes, w in zip(vote_table(stage.weaks), stage.weaks):
+        scores += votes[cache.codes[:, w.feature_index]]
     return scores
 
 
@@ -245,6 +268,10 @@ def train_cascade(
         raise ConfigError("training needs at least one positive and one negative")
     window_w = pos[0].window.width
     window_h = pos[0].window.height
+    # refuse an oversized cache before the feature table is built
+    _check_cache_size(
+        len(pos) + len(neg), feature_count(window_w, window_h, config.feature_stride)
+    )
     features = enumerate_features(window_w, window_h, config.feature_stride)
 
     # one cache over the positives then every negative; each stage trains

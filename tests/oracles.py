@@ -2,7 +2,7 @@
 
 Everything here recomputes results from first principles (direct pixel
 slicing, brute-force enumeration, graph closure) without touching the
-package's integral tables, kernels, or union-find, so agreement is
+package's integral tables, kernels, or grouping search, so agreement is
 meaningful.
 """
 
@@ -75,6 +75,18 @@ def exhaustive_best_error(codes: np.ndarray, positive: np.ndarray, weights: np.n
                     err += weights[i]
             best = min(best, err)
     return best
+
+
+def similar_rects(r, q, eps: float) -> bool:
+    """Grouping similarity: each pair of edges within eps of the pair's mean size."""
+    dw = eps * (r.w + q.w) / 2.0
+    dh = eps * (r.h + q.h) / 2.0
+    return (
+        abs(r.x - q.x) <= dw
+        and abs((r.x + r.w) - (q.x + q.w)) <= dw
+        and abs(r.y - q.y) <= dh
+        and abs((r.y + r.h) - (q.y + q.h)) <= dh
+    )
 
 
 def closure_partition(rects, similar) -> list[set]:

@@ -206,6 +206,75 @@ def test_unreadable_input_files_are_errors(workflow, capsys, tmp_path, case):
     assert "Traceback" not in captured.out + captured.err
 
 
+def _unwritable_output(case, root, workflow):
+    """argv for one unwritable output path, and the path the error must name."""
+    command, kind = case.split(":")
+    path = {
+        "missing-parent": root / "nodir" / "out",
+        "directory": root / "adir",
+        "file": root / "afile",
+        "frame-directory": root / "seq" / "frame_00000.pgm",
+    }[kind]
+    if kind == "file":
+        path.write_bytes(b"")
+    elif kind != "missing-parent":
+        path.mkdir(parents=True)
+    if command == "calibrate":
+        argv = ["calibrate", "--object-px", "100", "--object-m", "1", "--distance-m", "5"]
+        return argv + ["--frame", "640x360", "--out", str(path)], path
+    if command == "train":
+        for label in ("pos", "neg"):
+            (root / label).mkdir()
+            frame = imaging.Frame(6, 6, np.full((6, 6), 40 if label == "pos" else 0, np.uint8))
+            (root / label / "s.pgm").write_bytes(imaging.save_pgm(frame))
+        argv = ["train", "--pos", str(root / "pos"), "--neg", str(root / "neg")]
+        return argv + ["--stages", "1", "--max-weaks", "1", "--out", str(path)], path
+    if command == "import-cascade":
+        xml = root / "cascade.xml"
+        xml.write_text(XML_FIXTURE)
+        return ["import-cascade", "--in", str(xml), "--out", str(path)], path
+    if command == "synth":
+        out = path.parent if kind == "frame-directory" else path
+        return ["synth", "--out", str(out), "--patch", "0", "0", "8", "8", "--frames", "2"], path
+    if command == "speed":
+        argv = ["speed", "--frames", str(workflow.seq), "--model", str(workflow.model)]
+        argv += ["--px-per-m", "100", "--capture", "--store", str(path)]
+        return argv + _det_args(workflow.case.params), path
+    store_flag = {"records": ["list", "--store"], "upload": ["--store"], "serve": ["--data"]}
+    argv = [command, *store_flag[command], str(path)]
+    extra = {"upload": ["--endpoint", "http://127.0.0.1:9"], "serve": ["--bind", "127.0.0.1:0"]}
+    return argv + extra.get(command, []), path
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "calibrate:missing-parent",
+        "calibrate:directory",
+        "train:missing-parent",
+        "train:directory",
+        "import-cascade:missing-parent",
+        "import-cascade:directory",
+        "synth:file",
+        "synth:frame-directory",
+        "records:file",
+        "upload:file",
+        "serve:file",
+        "speed:file",
+    ],
+)
+def test_unwritable_output_paths_are_errors(workflow, capsys, tmp_path, case):
+    argv, path = _unwritable_output(case, tmp_path, workflow)
+    capsys.readouterr()
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(path) in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    if case == "speed:file":
+        # the estimate is printed before the capture store is opened
+        assert "appReading" in json.loads(captured.out)
+
+
 @pytest.mark.parametrize("line", ["func = 1", "scale_factr = 1.2"])
 def test_config_file_rejects_unknown_keys(workflow, capsys, tmp_path, line):
     cfg = tmp_path / "speedcam.cfg"

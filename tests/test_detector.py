@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import closure_partition, round_half_up
+from oracles import closure_partition, round_half_up, similar_rects
 from speedcam import detector, imaging, mblbp
 from speedcam.detector import Detection, DetectorParams, group_rects, scale_schedule, select_vehicle
 from speedcam.errors import ConfigError, NoScaleError
@@ -192,7 +192,7 @@ def test_group_matches_closure_oracle_on_random_rects():
         eps = float(rng.uniform(0.05, 0.5))
         params = DetectorParams(min_neighbors=1, group_eps=eps)
         expected_classes = closure_partition(
-            rects, lambda r, q: detector._similar(r, q, eps)
+            rects, lambda r, q: similar_rects(r, q, eps)
         )
         expected = []
         for members_idx in expected_classes:
@@ -214,6 +214,49 @@ def test_group_matches_closure_oracle_on_random_rects():
         assert sorted(((d.rect, d.neighbors) for d in got), key=key) == sorted(
             expected, key=key
         )
+
+
+def _touching_clusters(rng, n_clusters=40, per=30):
+    """Shuffled clusters of jittered rects; clusters 9 or 12 px apart chain together."""
+    rects = []
+    cx = 0
+    for _ in range(n_clusters):
+        cx += int(rng.choice([9, 12, 40]))
+        for _ in range(per):
+            w = int(rng.integers(28, 36))
+            x = cx + int(rng.integers(-4, 5))
+            rects.append(Rect(x, int(rng.integers(-3, 4)) + 10, w, w // 2))
+    return [rects[i] for i in rng.permutation(len(rects))]
+
+
+def _det_key(d):
+    return (d.rect.x, d.rect.y, d.rect.w, d.rect.h, d.neighbors, d.scale)
+
+
+def test_group_matches_closure_oracle_on_dense_touching_clusters():
+    rects = _touching_clusters(np.random.default_rng(5))
+    eps = 0.2
+    classes = closure_partition(rects, lambda r, q: similar_rects(r, q, eps))
+    assert len(rects) >= 1000 and 1 < len(classes) < len(rects) // 30
+    expected = []
+    for members_idx in classes:
+        members = [rects[i] for i in members_idx]
+        k = len(members)
+        mean = [round_half_up(sum(getattr(r, f) for r in members) / k) for f in "xywh"]
+        expected.append(Detection(Rect(*mean), 1.0, k))
+    got = group_rects(rects, DetectorParams(min_neighbors=1, group_eps=eps))
+    assert sorted(map(_det_key, got)) == sorted(map(_det_key, expected))
+
+
+def test_group_is_independent_of_input_order():
+    rng = np.random.default_rng(6)
+    rects = _touching_clusters(rng, n_clusters=12, per=10)
+    params = DetectorParams(min_neighbors=3)
+    want = sorted(map(_det_key, group_rects(rects, params, window_h=24)))
+    assert len(want) > 1
+    for _ in range(5):
+        shuffled = [rects[i] for i in rng.permutation(len(rects))]
+        assert sorted(map(_det_key, group_rects(shuffled, params, window_h=24))) == want
 
 
 def test_group_sorts_by_area_then_position():

@@ -19,6 +19,7 @@ from speedcam.mblbp import (
     subset_contains,
     subset_from_codes,
     subset_mask,
+    vote_table,
 )
 
 FULL = (0xFFFFFFFF,) * 8
@@ -148,6 +149,20 @@ def test_subset_mask_matches_subset_contains():
         mask = subset_mask(words)
         assert mask.shape == (256,) and mask.dtype == bool
         assert mask.tolist() == [subset_contains(words, c) for c in range(256)]
+
+
+def test_vote_table_matches_subset_contains():
+    rng = np.random.default_rng(14)
+    weaks = [WeakClassifier(0, EMPTY, 0.5, -0.25), WeakClassifier(0, FULL, 1.0, -1.0)]
+    for _ in range(10):
+        words = tuple(int(v) for v in rng.integers(0, 2**32, 8, dtype=np.uint64))
+        weaks.append(WeakClassifier(0, words, float(rng.normal()), float(rng.normal())))
+    votes = vote_table(weaks)
+    assert votes.shape == (len(weaks), 256) and votes.dtype == np.float64
+    for row, w in zip(votes, weaks):
+        want = [w.leaf_in if subset_contains(w.subset, c) else w.leaf_out for c in range(256)]
+        assert row.tolist() == want
+    assert vote_table([]).shape == (0, 256)
 
 
 def test_subset_rejects_out_of_range_code():

@@ -20,6 +20,7 @@ from speedcam.trainer import (
     boost_round,
     build_cache,
     enumerate_features,
+    feature_count,
     train_cascade,
     train_stage,
 )
@@ -68,6 +69,14 @@ def test_enumerate_matches_oracle_on_random_windows():
         h = int(rng.integers(3, 20))
         stride = int(rng.integers(1, 4))
         assert len(enumerate_features(w, h, stride)) == count_features(w, h, stride)
+
+
+def test_feature_count_matches_oracle():
+    for w in range(1, 16):
+        for h in range(1, 16):
+            for stride in range(1, 5):
+                assert feature_count(w, h, stride) == count_features(w, h, stride)
+    assert feature_count(48, 24, 2) == len(enumerate_features(48, 24, 2))
 
 
 def test_enumerate_order_is_bh_bw_by_bx():
@@ -128,6 +137,19 @@ def test_build_cache_refuses_codes_over_the_memory_ceiling():
         build_cache(samples, features)
     with pytest.raises(ConfigError, match="67600 features"):
         train_cascade(samples[:900], samples[900:], TrainConfig(1, 1))
+
+
+def test_train_cascade_refuses_oversized_cache_before_enumerating(monkeypatch):
+    # two 640x360 samples have 1,468,166,400 stride-1 features; building that
+    # table alone would take minutes and over 100 GB
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerate_features called before the size check")
+
+    monkeypatch.setattr(trainer, "enumerate_features", enumerate_nothing)
+    frame = Frame(640, 360, np.zeros((360, 640), np.uint8))
+    pos, neg = [TrainSample(frame, POSITIVE)], [TrainSample(frame, NEGATIVE)]
+    with pytest.raises(ConfigError, match=r"2 samples x 1468166400 features"):
+        train_cascade(pos, neg, TrainConfig(1, 1))
 
 
 def test_build_cache_rejects_mixed_window_sizes():
