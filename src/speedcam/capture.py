@@ -8,6 +8,7 @@ persisted high-water mark so ids keep increasing across restarts and
 never recycle after a delete-all.
 """
 
+import contextlib
 import json
 import re
 import threading
@@ -165,9 +166,11 @@ class RecordStore:
         """Persist several (record, image_bytes) pairs all-or-nothing.
 
         All validation (unassigned ids, filename collisions, including
-        within the batch) happens before anything is written; a failed
-        image write unlinks the batch's already-written images before
-        re-raising, and all log lines land in one append.
+        within the batch) happens before anything is written. The images
+        land first, then the high-water mark, then all log lines in one
+        append, so a log line never names an id the mark does not cover.
+        A failed write unlinks the batch's images, leaves the in-memory
+        state unchanged and raises StorageError naming the path.
         """
         with self._lock:
             names = [rec.picture_filename for rec, _ in items]
@@ -186,20 +189,26 @@ class RecordStore:
             assigned = [
                 replace(rec, id=self._hwm + 1 + k) for k, (rec, _) in enumerate(items)
             ]
+            hwm = assigned[-1].id if assigned else self._hwm
             written = []
             try:
                 for rec, (_, image_bytes) in zip(assigned, items):
                     path = self.images_dir / rec.picture_filename
                     path.write_bytes(image_bytes)
                     written.append(path)
-                with open(self._log_path, "a", encoding="utf-8") as fh:
+                path = self._hwm_path
+                path.write_text(f"{hwm}\n", encoding="utf-8")
+                path = self._log_path
+                with open(path, "a", encoding="utf-8") as fh:
                     fh.write("".join(_record_to_line(rec) for rec in assigned))
-            except BaseException:
-                for path in written:
-                    path.unlink(missing_ok=True)
+            except BaseException as exc:
+                for image in written:
+                    with contextlib.suppress(OSError):
+                        image.unlink(missing_ok=True)
+                if isinstance(exc, OSError):
+                    raise StorageError(f"cannot write {path}: {exc}") from None
                 raise
-            self._hwm = assigned[-1].id if assigned else self._hwm
-            self._hwm_path.write_text(f"{self._hwm}\n", encoding="utf-8")
+            self._hwm = hwm
             self._records.extend(assigned)
             self._filenames.update(rec.picture_filename for rec in assigned)
             return [rec.id for rec in assigned]
@@ -216,15 +225,20 @@ class RecordStore:
     def delete_all(self, confirm: bool) -> int:
         """Remove every record and its image; ids do not restart.
 
-        Refuses (changing nothing) unless confirm is True.
+        Refuses (changing nothing) unless confirm is True. A failed unlink
+        or log write raises StorageError naming the path and leaves the
+        in-memory records as they were.
         """
         if not confirm:
             raise RefusedError("delete_all requires explicit confirmation")
         with self._lock:
             count = len(self._records)
-            for rec in self._records:
-                (self.images_dir / rec.picture_filename).unlink(missing_ok=True)
-            self._log_path.write_text("", encoding="utf-8")
+            try:
+                for rec in self._records:
+                    (self.images_dir / rec.picture_filename).unlink(missing_ok=True)
+                self._log_path.write_text("", encoding="utf-8")
+            except OSError as exc:
+                raise StorageError(f"cannot delete records in {self.directory}: {exc}") from None
             self._records.clear()
             self._filenames.clear()
             return count

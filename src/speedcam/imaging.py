@@ -322,7 +322,11 @@ def read_sequence(directory, fps: float | None = None) -> list[Frame]:
     last_ts = -1
     for name, ts in entries:
         path = directory / name
-        if not path.exists():
+        try:
+            present = path.exists()
+        except OSError:  # a name the file system refuses, such as one too long
+            present = False
+        if not present:
             raise FormatError(f"manifest names missing file {name}")
         if ts <= last_ts:
             raise TimeOrderError(

@@ -1,9 +1,16 @@
 """Array kernels for pattern codes and the cascade window scan.
 
-The scan is vectorized numpy: each stage evaluates its weak classifiers
-at every origin still alive, and origins the stage rejects drop out of
-later stages. Votes accumulate in weak-classifier order as float64, as in
-``mblbp.eval_window``, the scalar reference the tests compare against.
+The scan is vectorized numpy over a lattice of window origins, evenly
+spaced in x and in y. Stage 0 sees every origin, so each of its weak
+classifiers reads the 16 grid corners of every origin as one strided view
+of the prefix table (``_corner_view``): no index array and no gather.
+Origins a stage rejects drop out; later stages gather the corners of the
+few survivors with ``codes_at``. The lattice runs in bands of whole rows,
+at most ``SCAN_BAND_ORIGINS`` origins each, which bounds the block
+temporaries on large frames. Votes accumulate in weak-classifier order as
+float64, as in ``mblbp.eval_window``, the scalar reference the tests
+compare against. The trainer's ``codes_stack`` reads its corners through
+the same view, over a stack of sample tables.
 
 The scan works on flattened model arrays so the hot loop never touches
 Python objects:
@@ -23,6 +30,10 @@ from speedcam.errors import BoundsError
 
 # neighbor block (row, col) in bit order: TL=bit7, then clockwise to L=bit0
 _NEIGHBOR_ORDER = ((0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0))
+
+# origins per scan band: a 640x360 frame at stride 2 is one band, and the
+# (3, 3, rows, nx) int64 block temporaries of a band stay near 5 MB each
+SCAN_BAND_ORIGINS = 1 << 16
 
 
 def selected_backend() -> str:
@@ -69,6 +80,32 @@ def codes_at(sums: np.ndarray, x: np.ndarray, y: np.ndarray, bw: int, bh: int) -
     return _codes(sums.take(offsets + (y * w1 + x)))  # take reads the flattened table
 
 
+def _corner_view(sums, x0, y0, sx, sy, nx, ny, bw, bh) -> np.ndarray:
+    """Read-only view of the 16 grid corners at every origin of a lattice.
+
+    The origins are (x0 + i*sx, y0 + j*sy) for i < nx and j < ny, and each
+    holds a 3x3 grid of bw x bh blocks. sums is a prefix table, optionally
+    behind leading axes (a stack of samples); the view is shaped
+    (4, 4, *leading, ny, nx), the layout ``_codes`` takes. It reads raw
+    memory, so a grid that leaves the table is a BoundsError.
+    """
+    *_, h1, w1 = sums.shape
+    if (
+        min(x0, y0) < 0
+        or min(sx, sy, bw, bh) < 1
+        or x0 + (nx - 1) * sx + 3 * bw >= w1
+        or y0 + (ny - 1) * sy + 3 * bh >= h1
+    ):
+        raise BoundsError(f"a grid of {bw}x{bh} blocks leaves the {w1 - 1}x{h1 - 1} table")
+    *lead, r0, r1 = sums.strides
+    return np.lib.stride_tricks.as_strided(
+        sums[..., y0:, x0:],
+        shape=(4, 4, *sums.shape[:-2], ny, nx),
+        strides=(bh * r0, bw * r1, *lead, sy * r0, sx * r1),
+        writeable=False,
+    )
+
+
 def codes_stack(
     sums_stack: np.ndarray,
     fx: np.ndarray,
@@ -81,18 +118,12 @@ def codes_stack(
     sums_stack is (n_samples, h+1, w+1); the feature arrays describe the
     full feature set at unit scale. Returns (n_samples, n_features) uint8.
 
-    Features sharing a block size share one code plane: the 16 corners of
-    every origin on the lattice spanned by that group's anchors are
-    strided views of the stack, so each group costs one ``_codes`` call
+    Features sharing a block size share one code plane: the corners of
+    every origin on the lattice spanned by that group's anchors are one
+    ``_corner_view`` of the stack, so each group costs one ``_codes`` call
     and a gather of its features' columns.
     """
-    n, h1, w1 = sums_stack.shape
-    # the views below read raw memory, so every grid must lie in the table
-    outside = (fx < 0) | (fy < 0) | (fbw < 1) | (fbh < 1)
-    if (outside | (fx + 3 * fbw >= w1) | (fy + 3 * fbh >= h1)).any():
-        raise BoundsError(f"a feature grid does not fit the {w1 - 1}x{h1 - 1} window")
-    out = np.empty((n, fx.size), dtype=np.uint8)
-    s0, s1, s2 = sums_stack.strides
+    out = np.empty((sums_stack.shape[0], fx.size), dtype=np.uint8)
     sizes, group = np.unique(np.stack([fbw, fbh], axis=1), axis=0, return_inverse=True)
     group = group.reshape(-1)  # numpy 2.0.0 returns it as a column
     for g, (bw, bh) in enumerate(sizes):
@@ -104,12 +135,7 @@ def codes_stack(
         sy = int(np.gcd.reduce(gy - y0)) or 1
         nx = (int(gx.max()) - x0) // sx + 1
         ny = (int(gy.max()) - y0) // sy + 1
-        corners = np.lib.stride_tricks.as_strided(
-            sums_stack[:, y0:, x0:],
-            shape=(4, 4, n, ny, nx),
-            strides=(bh * s1, bw * s2, s0, sy * s1, sx * s2),
-            writeable=False,
-        )
+        corners = _corner_view(sums_stack, x0, y0, sx, sy, nx, ny, int(bw), int(bh))
         out[:, sel] = _codes(corners)[:, (gy - y0) // sy, (gx - x0) // sx]
     return out
 
@@ -117,24 +143,43 @@ def codes_stack(
 def scan_numpy(sums, xs, ys, fx, fy, fbw, fbh, wfeat, votes, sbound, sthr):
     """Cascade acceptance mask over an origin grid, vectorized numpy path.
 
-    Returns bool (len(ys), len(xs)); True where every stage sum met its
-    threshold. Rejected origins drop out of later stages via a shrinking
-    alive mask.
+    xs and ys are ascending and evenly spaced, as ``detector.scan`` builds
+    them. Returns bool (len(ys), len(xs)); True where every stage sum met
+    its threshold. The grid runs in bands of whole rows, at most
+    SCAN_BAND_ORIGINS origins each (or one row). Stage 0 reads every origin
+    of a band through one corner view per weak; later stages gather the
+    corners of the origins still alive with ``codes_at``.
     """
-    ny = ys.size
-    nx = xs.size
-    ox = np.broadcast_to(xs[None, :], (ny, nx)).reshape(-1)
-    oy = np.broadcast_to(ys[:, None], (ny, nx)).reshape(-1)
-    alive = np.ones(ox.size, dtype=bool)
-    for si in range(sthr.size):
-        if not alive.any():
-            break
-        ax = ox[alive]
-        ay = oy[alive]
-        acc = np.zeros(ax.size, dtype=np.float64)
-        for wi in range(sbound[si], sbound[si + 1]):
+    ny, nx = ys.size, xs.size
+    mask = np.ones((ny, nx), dtype=bool)
+    if mask.size == 0 or sthr.size == 0:
+        return mask
+    sx = int(xs[1] - xs[0]) if nx > 1 else 1
+    sy = int(ys[1] - ys[0]) if ny > 1 else 1
+    rows = max(1, SCAN_BAND_ORIGINS // nx)
+    for top in range(0, ny, rows):
+        band = mask[top : top + rows]  # a view: the band writes the mask
+        acc = np.zeros(band.shape, dtype=np.float64)
+        for wi in range(sbound[0], sbound[1]):
             f = wfeat[wi]
-            codes = codes_at(sums, ax + fx[f], ay + fy[f], int(fbw[f]), int(fbh[f]))
-            acc += votes[wi][codes]
-        alive[alive] = acc >= sthr[si]
-    return alive.reshape(ny, nx)
+            corners = _corner_view(
+                sums, int(xs[0] + fx[f]), int(ys[top] + fy[f]), sx, sy,
+                nx, band.shape[0], int(fbw[f]), int(fbh[f]),
+            )
+            acc += votes[wi][_codes(corners)]
+        band[...] = acc >= sthr[0]
+        iy, ix = np.nonzero(band)
+        ax, ay = xs[ix], ys[top + iy]
+        alive = np.ones(ax.size, dtype=bool)
+        for si in range(1, sthr.size):
+            if not alive.any():
+                break
+            cx, cy = ax[alive], ay[alive]
+            acc = np.zeros(cx.size, dtype=np.float64)
+            for wi in range(sbound[si], sbound[si + 1]):
+                f = wfeat[wi]
+                codes = codes_at(sums, cx + fx[f], cy + fy[f], int(fbw[f]), int(fbh[f]))
+                acc += votes[wi][codes]
+            alive[alive] = acc >= sthr[si]
+        band[iy, ix] = alive
+    return mask

@@ -257,7 +257,10 @@ def _require(doc, key, kind, where):
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise FormatError(f"{where}: field \"{key}\" must be a number")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise FormatError(f"{where}: field \"{key}\" is too large") from None
     if not isinstance(value, kind) or isinstance(value, bool):
         raise FormatError(f"{where}: field \"{key}\" has wrong type")
     return value
@@ -267,7 +270,8 @@ def load_model(text: str) -> CascadeModel:
     """Parse the canonical JSON model document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError also covers integers past the digit limit; RecursionError deep nesting
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"model document is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise FormatError("model document must be a JSON object")

@@ -9,6 +9,7 @@ anything, so a request either lands completely or not at all.
 
 import base64
 import binascii
+import http.client
 import json
 import re
 import threading
@@ -28,6 +29,10 @@ from speedcam.errors import (
 )
 
 DEFAULT_MAX_BYTES = 4 * 1024 * 1024  # the classic server-side ceiling
+
+# seconds a socket may stall: the client's connect and reads, and each read
+# or write of an ingest handler, which then drops the connection
+TIMEOUT_S = 30.0
 
 UPLOAD_PATH = "/uploadData"
 
@@ -128,7 +133,8 @@ def post_upload(
     """POST the payload to <endpoint>/uploadData and parse the response.
 
     The serialized size is checked against max_bytes before any network
-    I/O so an oversize batch never leaves the machine.
+    I/O so an oversize batch never leaves the machine. A server that does
+    not answer within TIMEOUT_S is a TransportError.
     """
     body = payload.to_json().encode("utf-8")
     if len(body) > max_bytes:
@@ -143,7 +149,7 @@ def post_upload(
         method="POST",
     )
     try:
-        with urllib.request.urlopen(request) as response:
+        with urllib.request.urlopen(request, timeout=TIMEOUT_S) as response:
             raw = response.read()
     except urllib.error.HTTPError as exc:
         detail = ""
@@ -157,6 +163,8 @@ def post_upload(
         ) from None
     except urllib.error.URLError as exc:
         raise TransportError(f"cannot reach {url}: {exc.reason}") from None
+    except (OSError, http.client.HTTPException) as exc:  # a stalled or broken reply
+        raise TransportError(f"no reply from {url}: {exc!r}") from None
     try:
         doc = json.loads(raw.decode("utf-8"))
         return UploadResponse(message=str(doc["message"]), received=int(doc["received"]))
@@ -202,6 +210,10 @@ def _parse_payload_records(doc) -> list[tuple[CaptureRecord, bytes]]:
 
 
 class _IngestHandler(BaseHTTPRequestHandler):
+    @property
+    def timeout(self):  # read by the base class as each connection opens
+        return TIMEOUT_S
+
     def _respond(self, status: int, doc: dict):
         body = json.dumps(doc).encode("utf-8")
         self.send_response(status)

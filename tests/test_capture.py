@@ -237,3 +237,28 @@ def test_log_ignores_blank_lines(tmp_path):
     log.write_text(log.read_text() + "\n\n")
     again = RecordStore(tmp_path / "store")
     assert len(again.list_all()) == 5
+
+
+@pytest.mark.parametrize("name", ["records.log", "hwm"])
+def test_append_to_a_store_that_turned_unwritable_is_a_storage_error(tmp_path, name):
+    store = RecordStore(tmp_path / "store")
+    store.append(make_record(1.0, "loc", TIMES[0]), _img())
+    target = store.directory / name
+    target.unlink()
+    target.mkdir()  # the file became a directory after the store opened
+    with pytest.raises(StorageError, match=name):
+        store.append(make_record(2.0, "loc", TIMES[1]), _img(1))
+    assert [r.id for r in store.list_all()] == [1]
+    assert not (store.images_dir / picture_filename_for(TIMES[1])).exists()
+    target.rmdir()
+    assert store.append(make_record(2.0, "loc", TIMES[1]), _img(1)) == 2
+
+
+def test_delete_all_on_a_store_that_turned_unwritable_is_a_storage_error(tmp_path):
+    store = _filled_store(tmp_path)
+    log = store.directory / "records.log"
+    log.unlink()
+    log.mkdir()
+    with pytest.raises(StorageError, match="records.log"):
+        store.delete_all(confirm=True)
+    assert len(store.list_all()) == len(TIMES)

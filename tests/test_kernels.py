@@ -118,7 +118,8 @@ def test_codes_stack_rejects_grids_outside_the_table(feat):
 def test_scan_numpy_matches_eval_window_at_every_origin():
     rng = np.random.default_rng(4)
     accepted = windows = 0
-    for trial in range(12):
+    for trial in range(36):
+        stride = 1 + trial // 12
         model = _random_model(rng)
         scale = (1.0, 1.5, 2.0, 2.5)[trial % 4]
         px = rng.integers(0, 256, (48, 72), np.uint8)
@@ -126,16 +127,79 @@ def test_scan_numpy_matches_eval_window_at_every_origin():
         fx, fy, fbw, fbh = mblbp.scaled_feature_arrays(model.features, scale)
         eff_w = int(np.max(fx + 3 * fbw))
         eff_h = int(np.max(fy + 3 * fbh))
-        xs = np.arange(0, 72 - eff_w + 1, dtype=np.int64)
-        ys = np.arange(0, 48 - eff_h + 1, dtype=np.int64)
+        xs = np.arange(0, 72 - eff_w + 1, stride, dtype=np.int64)
+        ys = np.arange(0, 48 - eff_h + 1, stride, dtype=np.int64)
         got = kernels.scan_numpy(ii.sums, xs, ys, fx, fy, fbw, fbh, *_flatten_model(model))
         want = np.array(
             [[mblbp.eval_window(ii, model, (int(x), int(y)), scale) for x in xs] for y in ys]
         )
-        assert np.array_equal(got, want), f"trial {trial} (scale {scale}) diverged"
+        assert np.array_equal(got, want), f"trial {trial} (scale {scale}, stride {stride})"
         accepted += int(want.sum())
         windows += want.size
     assert 0 < accepted < windows  # both outcomes are exercised
+
+
+def _patch_scan_case():
+    """A 60x40 frame, flat but for one textured 20x10 patch at (30, 20), and a
+    one-feature cascade that accepts the patch's code at (30, 20)."""
+    rng = np.random.default_rng(8)
+    px = np.full((40, 60), 128, np.uint8)
+    px[20:30, 30:50] = rng.integers(0, 256, (10, 20), np.uint8)
+    ii = imaging.integral(Frame(60, 40, px))
+    feature = mblbp.MbLbpFeature(1, 1, 4, 2)
+    code = mblbp.lbp_code(ii, feature, (30, 20))
+    assert code != mblbp.lbp_code(ii, feature, (0, 0))
+    # stage 1 repeats the feature, so survivors of stage 0 reach codes_at
+    stages = tuple(
+        mblbp.Stage(0.5, (mblbp.WeakClassifier(0, mblbp.subset_from_codes([code]), 1.0, 0.0),))
+        for _ in range(2)
+    )
+    model = mblbp.CascadeModel((feature,), stages, 20, 10)
+    return ii, model
+
+
+def _patch_lattice():
+    # feature grids span 1 + 3 * 4 = 13 by 1 + 3 * 2 = 7 pixels from the origin
+    xs = np.arange(0, 60 - 13 + 1, 2, dtype=np.int64)
+    return xs, np.arange(0, 40 - 7 + 1, 2, dtype=np.int64)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5])
+def test_scan_numpy_bands_equal_one_band(monkeypatch, rows):
+    ii, model = _patch_scan_case()
+    arrays = mblbp.scaled_feature_arrays(model.features, 1.0)
+    xs, ys = _patch_lattice()
+    flat = _flatten_model(model)
+    whole = kernels.scan_numpy(ii.sums, xs, ys, *arrays, *flat)
+    assert whole[10, 15]  # origin (30, 20)
+    survivors = [int(whole[top : top + rows].sum()) for top in range(0, ys.size, rows)]
+    assert 0 in survivors  # the flat rows above the patch make empty bands
+    monkeypatch.setattr(kernels, "SCAN_BAND_ORIGINS", rows * xs.size)
+    gathered = []
+    codes_at = kernels.codes_at
+
+    def counted(sums, x, *rest):
+        gathered.append(x.size)
+        return codes_at(sums, x, *rest)
+
+    monkeypatch.setattr(kernels, "codes_at", counted)
+    banded = kernels.scan_numpy(ii.sums, xs, ys, *arrays, *flat)
+    assert np.array_equal(banded, whole)
+    # stage 1 repeats stage 0: only bands with survivors reach it, once per band
+    assert gathered == [n for n in survivors if n]
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_scan_numpy_rejects_a_lattice_one_pixel_past_the_table(axis):
+    ii, model = _patch_scan_case()
+    arrays = mblbp.scaled_feature_arrays(model.features, 1.0)
+    xs, ys = _patch_lattice()
+    if axis == "x":
+        xs = np.append(xs, xs[-1] + 2)  # the last grid ends at column 61 of 60
+    else:
+        ys = np.append(ys, ys[-1] + 2)  # the last grid ends at row 41 of 40
+    with pytest.raises(BoundsError):
+        kernels.scan_numpy(ii.sums, xs, ys, *arrays, *_flatten_model(model))
 
 
 def test_scan_entry_points():

@@ -2,7 +2,9 @@
 
 import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -11,6 +13,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from speedcam import uplink
 from speedcam.capture import RecordStore, make_record
 from speedcam.errors import (
     DecodeError,
@@ -307,6 +310,52 @@ def test_post_upload_rejects_non_json_response():
         httpd.shutdown()
         thread.join()
         httpd.server_close()
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [b"", b"HTTP/1.0 200 OK\r\nContent-Length: 99\r\n\r\n{", b"bogus\r\n\r\n"],
+    ids=["silent", "stalls-mid-body", "not-http"],
+)
+def test_post_upload_wraps_a_stalled_or_broken_reply(monkeypatch, reply):
+    # a loopback server that takes the request, sends `reply` and then stalls
+    monkeypatch.setattr(uplink, "TIMEOUT_S", 0.2)
+    listener = socket.create_server(("127.0.0.1", 0))
+    done = threading.Event()
+
+    def stall():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(65536)
+            conn.sendall(reply)
+            done.wait(10)
+
+    thread = threading.Thread(target=stall, daemon=True)
+    thread.start()
+    host, port = listener.getsockname()
+    start = time.monotonic()
+    try:
+        with pytest.raises(TransportError):
+            post_upload(f"http://{host}:{port}", UploadPayload(records=()))
+        assert time.monotonic() - start < 5
+    finally:
+        done.set()
+        listener.close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_ingest_drops_a_client_that_stalls_mid_body(monkeypatch, tmp_path):
+    monkeypatch.setattr(uplink, "TIMEOUT_S", 0.2)
+    with serve_ingest("127.0.0.1:0", tmp_path / "server") as server:
+        netloc = urllib.parse.urlsplit(server.endpoint).netloc
+        host, port = netloc.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=5) as client:
+            client.sendall(b"POST /uploadData HTTP/1.1\r\nContent-Length: 100\r\n\r\n{")
+            start = time.monotonic()
+            assert client.recv(1) == b""  # the handler timed out and closed
+            assert time.monotonic() - start < 5
+        assert server.store.list_all() == []
 
 
 def test_serve_ingest_validates_bind():
