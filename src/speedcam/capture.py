@@ -10,6 +10,7 @@ never recycle after a delete-all.
 
 import contextlib
 import json
+import os
 import re
 import threading
 from dataclasses import dataclass, replace
@@ -119,6 +120,7 @@ class RecordStore:
         self.images_dir = self.directory / IMAGES_DIR
         self._log_path = self.directory / LOG_NAME
         self._hwm_path = self.directory / HWM_NAME
+        self._hwm_tmp_path = self.directory / (HWM_NAME + ".tmp")
         self._lock = threading.Lock()
         self._records: list[CaptureRecord] = []
         self._filenames: set[str] = set()
@@ -169,6 +171,8 @@ class RecordStore:
         within the batch) happens before anything is written. The images
         land first, then the high-water mark, then all log lines in one
         append, so a log line never names an id the mark does not cover.
+        The mark goes to a temporary file that then replaces it, so the
+        old mark survives a failed or interrupted write.
         A failed write unlinks the batch's images, leaves the in-memory
         state unchanged and raises StorageError naming the path.
         """
@@ -196,15 +200,17 @@ class RecordStore:
                     path = self.images_dir / rec.picture_filename
                     path.write_bytes(image_bytes)
                     written.append(path)
-                path = self._hwm_path
+                path = self._hwm_tmp_path
                 path.write_text(f"{hwm}\n", encoding="utf-8")
+                path = self._hwm_path
+                os.replace(self._hwm_tmp_path, path)
                 path = self._log_path
                 with open(path, "a", encoding="utf-8") as fh:
                     fh.write("".join(_record_to_line(rec) for rec in assigned))
             except BaseException as exc:
-                for image in written:
+                for leftover in [*written, self._hwm_tmp_path]:
                     with contextlib.suppress(OSError):
-                        image.unlink(missing_ok=True)
+                        leftover.unlink(missing_ok=True)
                 if isinstance(exc, OSError):
                     raise StorageError(f"cannot write {path}: {exc}") from None
                 raise

@@ -105,7 +105,7 @@ def scan(frame: Frame, model: CascadeModel, params: DetectorParams) -> list[Rect
     schedule = scale_schedule(
         frame.width, frame.height, model.window_w, model.window_h, params
     )
-    ii = integral(frame)
+    sums = integral(frame)
     flat = _flatten_model(model)
     impl = kernels.scan_impl()
     out = []
@@ -118,13 +118,13 @@ def scan(frame: Frame, model: CascadeModel, params: DetectorParams) -> list[Rect
         # scaled window edge; shrink the origin range to whichever is wider
         eff_w = max(win_w, int(np.max(fx + 3 * fbw, initial=0)))
         eff_h = max(win_h, int(np.max(fy + 3 * fbh, initial=0)))
-        xs = np.arange(0, frame.width - eff_w + 1, stride, dtype=np.int64)
-        ys = np.arange(0, frame.height - eff_h + 1, stride, dtype=np.int64)
-        if xs.size == 0 or ys.size == 0:
+        nx = (frame.width - eff_w) // stride + 1
+        ny = (frame.height - eff_h) // stride + 1
+        if nx < 1 or ny < 1:
             continue
-        mask = impl(ii.sums, xs, ys, fx, fy, fbw, fbh, *flat)
-        for iy, ix in np.argwhere(mask):
-            out.append(Rect(int(xs[ix]), int(ys[iy]), win_w, win_h))
+        iy, ix = np.nonzero(impl(sums, stride, nx, ny, fx, fy, fbw, fbh, *flat))
+        origins = zip((ix * stride).tolist(), (iy * stride).tolist())
+        out += [Rect(x, y, win_w, win_h) for x, y in origins]
     return out
 
 

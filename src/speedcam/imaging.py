@@ -68,15 +68,6 @@ class Frame:
             raise ConfigError("timestamp_ms must be non-negative")
 
 
-@dataclass(eq=False)
-class IntegralImage:
-    """Prefix-sum table: sums[r][c] = sum of pixels in rows [0,r) x cols [0,c)."""
-
-    width: int
-    height: int
-    sums: np.ndarray  # (height+1, width+1) int64, read-only
-
-
 @dataclass(frozen=True)
 class Rect:
     """Axis-aligned rectangle, top-left origin at the image's (0,0)."""
@@ -159,24 +150,28 @@ def save_pgm(frame: Frame) -> bytes:
     return header + frame.pixels.tobytes()
 
 
-def integral(frame: Frame) -> IntegralImage:
-    """Build the (h+1) x (w+1) prefix-sum table for O(1) rectangle sums."""
+def integral(frame: Frame) -> np.ndarray:
+    """The read-only (h+1, w+1) int64 prefix-sum table of a frame.
+
+    sums[r, c] is the sum of the pixels in rows [0, r) and columns [0, c),
+    so any rectangle sum takes four lookups.
+    """
     sat = np.zeros((frame.height + 1, frame.width + 1), dtype=np.int64)
     np.cumsum(frame.pixels, axis=0, dtype=np.int64, out=sat[1:, 1:])
     np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
     sat.setflags(write=False)
-    return IntegralImage(frame.width, frame.height, sat)
+    return sat
 
 
-def rect_sum(ii: IntegralImage, r: Rect) -> int:
-    """Exact pixel sum inside r from four table lookups."""
+def rect_sum(s: np.ndarray, r: Rect) -> int:
+    """Exact pixel sum inside r from four lookups in the prefix table s."""
+    height, width = s.shape[0] - 1, s.shape[1] - 1
     if r.w < 1 or r.h < 1 or r.x < 0 or r.y < 0:
         raise BoundsError(f"rect {r} is empty or has a negative corner")
-    if r.x + r.w > ii.width or r.y + r.h > ii.height:
+    if r.x + r.w > width or r.y + r.h > height:
         raise BoundsError(
-            f"rect {r} exceeds image bounds {ii.width}x{ii.height}"
+            f"rect {r} exceeds image bounds {width}x{height}"
         )
-    s = ii.sums
     return int(
         s[r.y + r.h, r.x + r.w]
         - s[r.y, r.x + r.w]
@@ -281,7 +276,9 @@ def read_sequence(directory, fps: float | None = None) -> list[Frame]:
     """Load a frame sequence with timestamps from manifest.tsv or a uniform rate.
 
     Without a manifest, .pgm files are taken in lexicographic order and
-    timestamps are round(k * 1000/fps); fps is then required.
+    timestamps are round(k * 1000/fps); fps is then required. A manifest
+    name must be a bare file name in the directory: one that is absolute
+    or has a directory part is a FormatError before any frame is read.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -299,6 +296,11 @@ def read_sequence(directory, fps: float | None = None) -> list[Frame]:
                     f"{MANIFEST_NAME}:{lineno}: expected '<filename>\\t<timestamp_ms>'"
                 )
             name, ts_text = parts
+            if Path(name).name != name or name == "..":
+                raise FormatError(
+                    f"{MANIFEST_NAME}:{lineno}: frame name {name!r} must be a file "
+                    "in the sequence directory, with no directory part"
+                )
             try:
                 ts = int(ts_text)
             except ValueError:

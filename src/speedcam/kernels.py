@@ -1,9 +1,10 @@
 """Array kernels for pattern codes and the cascade window scan.
 
-The scan is vectorized numpy over a lattice of window origins, evenly
-spaced in x and in y. Stage 0 sees every origin, so each of its weak
-classifiers reads the 16 grid corners of every origin as one strided view
-of the prefix table (``_corner_view``): no index array and no gather.
+The scan is vectorized numpy over a lattice of window origins, given as
+``(stride, nx, ny)``: the origins are (ix*stride, iy*stride) for ix < nx
+and iy < ny. Stage 0 sees every origin, so each of its weak classifiers
+reads the 16 grid corners of every origin as one strided view of the
+prefix table (``_corner_view``): no index array and no gather.
 Origins a stage rejects drop out; later stages gather the corners of the
 few survivors with ``codes_at``. The lattice runs in bands of whole rows,
 at most ``SCAN_BAND_ORIGINS`` origins each, which bounds the block
@@ -140,22 +141,19 @@ def codes_stack(
     return out
 
 
-def scan_numpy(sums, xs, ys, fx, fy, fbw, fbh, wfeat, votes, sbound, sthr):
-    """Cascade acceptance mask over an origin grid, vectorized numpy path.
+def scan_numpy(sums, stride, nx, ny, fx, fy, fbw, fbh, wfeat, votes, sbound, sthr):
+    """Cascade acceptance mask over an origin lattice, vectorized numpy path.
 
-    xs and ys are ascending and evenly spaced, as ``detector.scan`` builds
-    them. Returns bool (len(ys), len(xs)); True where every stage sum met
-    its threshold. The grid runs in bands of whole rows, at most
-    SCAN_BAND_ORIGINS origins each (or one row). Stage 0 reads every origin
-    of a band through one corner view per weak; later stages gather the
-    corners of the origins still alive with ``codes_at``.
+    The origins are (ix*stride, iy*stride) for ix < nx and iy < ny.
+    Returns bool (ny, nx); True where every stage sum met its threshold.
+    The lattice runs in bands of whole rows, at most SCAN_BAND_ORIGINS
+    origins each (or one row). Stage 0 reads every origin of a band
+    through one corner view per weak; later stages gather the corners of
+    the origins still alive with ``codes_at``.
     """
-    ny, nx = ys.size, xs.size
     mask = np.ones((ny, nx), dtype=bool)
     if mask.size == 0 or sthr.size == 0:
         return mask
-    sx = int(xs[1] - xs[0]) if nx > 1 else 1
-    sy = int(ys[1] - ys[0]) if ny > 1 else 1
     rows = max(1, SCAN_BAND_ORIGINS // nx)
     for top in range(0, ny, rows):
         band = mask[top : top + rows]  # a view: the band writes the mask
@@ -163,13 +161,13 @@ def scan_numpy(sums, xs, ys, fx, fy, fbw, fbh, wfeat, votes, sbound, sthr):
         for wi in range(sbound[0], sbound[1]):
             f = wfeat[wi]
             corners = _corner_view(
-                sums, int(xs[0] + fx[f]), int(ys[top] + fy[f]), sx, sy,
+                sums, int(fx[f]), top * stride + int(fy[f]), stride, stride,
                 nx, band.shape[0], int(fbw[f]), int(fbh[f]),
             )
             acc += votes[wi][_codes(corners)]
         band[...] = acc >= sthr[0]
         iy, ix = np.nonzero(band)
-        ax, ay = xs[ix], ys[top + iy]
+        ax, ay = ix * stride, (top + iy) * stride
         alive = np.ones(ax.size, dtype=bool)
         for si in range(1, sthr.size):
             if not alive.any():

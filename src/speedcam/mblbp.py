@@ -12,6 +12,7 @@ the stage-classifier XML interchange format (stump weaks only).
 """
 
 import json
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ from speedcam.errors import (
     ModelReferenceError,
     UnsupportedModelError,
 )
-from speedcam.imaging import IntegralImage, Rect, rect_sum, round_half_up
+from speedcam.imaging import Rect, rect_sum, round_half_up
 
 DEFAULT_WINDOW_W = 48
 DEFAULT_WINDOW_H = 24
@@ -178,13 +179,14 @@ def scaled_feature_arrays(features, scale: float):
     return fx, fy, fbw, fbh
 
 
-def lbp_code(ii: IntegralImage, f: MbLbpFeature, origin, scale: float = 1.0) -> int:
-    """8-bit pattern code of the feature's scaled 3x3 grid at origin."""
+def lbp_code(ii: np.ndarray, f: MbLbpFeature, origin, scale: float = 1.0) -> int:
+    """8-bit pattern code of the feature's scaled 3x3 grid at origin of prefix table ii."""
     x, y, bw, bh = scaled_grid(f, origin, scale)
-    if x < 0 or y < 0 or x + 3 * bw > ii.width or y + 3 * bh > ii.height:
+    height, width = ii.shape[0] - 1, ii.shape[1] - 1
+    if x < 0 or y < 0 or x + 3 * bw > width or y + 3 * bh > height:
         raise BoundsError(
             f"scaled grid at ({x},{y}) size {3 * bw}x{3 * bh} exceeds "
-            f"image {ii.width}x{ii.height}"
+            f"image {width}x{height}"
         )
     sums = [
         rect_sum(ii, Rect(x + j * bw, y + i * bh, bw, bh))
@@ -258,9 +260,12 @@ def _require(doc, key, kind, where):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise FormatError(f"{where}: field \"{key}\" must be a number")
         try:
-            return float(value)
+            number = float(value)
         except OverflowError:
             raise FormatError(f"{where}: field \"{key}\" is too large") from None
+        if not math.isfinite(number):
+            raise FormatError(f"{where}: field \"{key}\" must be finite, got {number}")
+        return number
     if not isinstance(value, kind) or isinstance(value, bool):
         raise FormatError(f"{where}: field \"{key}\" has wrong type")
     return value
@@ -353,9 +358,12 @@ def _xml_int(text, token, what):
 
 def _xml_float(text, token, what):
     try:
-        return float(token)
+        number = float(token)
     except ValueError:
         raise FormatError(f"{what} {token!r} is not a number{_line_of(text, token)}") from None
+    if not math.isfinite(number):
+        raise FormatError(f"{what} {token!r} is not finite{_line_of(text, token)}")
+    return number
 
 
 def import_cascade_xml(text: str, bit_order: str = "canonical") -> CascadeModel:

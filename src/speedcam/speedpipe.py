@@ -74,6 +74,13 @@ class FeedResult:
     window_speed: int | None = None
 
 
+def _require_finite_positive(**numbers) -> None:
+    """Refuse any calibration number that is not finite and above zero."""
+    for name, value in numbers.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"calibration {name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class CalibrationReference:
     """Provenance of a calibration: what was measured, where, on what frame."""
@@ -83,13 +90,29 @@ class CalibrationReference:
     vehicle_distance_m: float
     frame: tuple
 
+    def __post_init__(self):
+        _require_finite_positive(
+            objectPxLen=self.object_px_len,
+            objectLenM=self.object_len_m,
+            vehicleDistanceM=self.vehicle_distance_m,
+        )
+        if min(self.frame) < 1:
+            raise ConfigError(f"frame dimensions {self.frame} must be positive")
+
 
 @dataclass(frozen=True)
 class CalibrationProfile:
-    """Pixels-per-metre at the calibrated vehicle distance."""
+    """Pixels-per-metre at the calibrated vehicle distance.
+
+    Every number in a profile and its reference is finite and positive, so
+    converting a speed never divides by zero or yields NaN or a negative.
+    """
 
     px_per_m: float
     reference: CalibrationReference
+
+    def __post_init__(self):
+        _require_finite_positive(pxPerM=self.px_per_m)
 
     def to_doc(self) -> dict:
         return {
@@ -114,7 +137,8 @@ def calibration_from_doc(doc: dict) -> CalibrationProfile:
                 frame=(int(frame[0]), int(frame[1])),
             ),
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    # OverflowError: an infinite frame dimension
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ConfigError(f"bad calibration document: {exc}") from None
 
 
@@ -205,23 +229,15 @@ def calibrate(
     frame_dims,
 ) -> CalibrationProfile:
     """Derive px/m from a known-length object measured in the frame."""
-    if object_px_len <= 0 or object_len_m <= 0 or vehicle_distance_m <= 0:
-        raise ConfigError(
-            "calibration lengths must be positive: "
-            f"got px={object_px_len}, m={object_len_m}, distance={vehicle_distance_m}"
-        )
     w, h = frame_dims
-    if w < 1 or h < 1:
-        raise ConfigError(f"frame dimensions {frame_dims} must be positive")
-    return CalibrationProfile(
-        px_per_m=object_px_len / object_len_m,
-        reference=CalibrationReference(
-            object_px_len=float(object_px_len),
-            object_len_m=float(object_len_m),
-            vehicle_distance_m=float(vehicle_distance_m),
-            frame=(int(w), int(h)),
-        ),
+    reference = CalibrationReference(
+        object_px_len=float(object_px_len),
+        object_len_m=float(object_len_m),
+        vehicle_distance_m=float(vehicle_distance_m),
+        frame=(int(w), int(h)),
     )
+    # the reference is checked first, so this division sees a positive divisor
+    return CalibrationProfile(px_per_m=object_px_len / object_len_m, reference=reference)
 
 
 def finalize(

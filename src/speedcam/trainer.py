@@ -149,7 +149,7 @@ def build_cache(samples: list[TrainSample], features: list[MbLbpFeature]) -> Sam
                 f"does not match {w0}x{h0}"
             )
     _check_cache_size(len(samples), len(features))
-    sums = np.stack([integral(s.window).sums for s in samples])
+    sums = np.stack([integral(s.window) for s in samples])
     codes = kernels.codes_stack(sums, *scaled_feature_arrays(features, 1.0))
     positive = np.array([s.label == POSITIVE for s in samples], dtype=bool)
     return SampleCache(codes=codes, positive=positive)

@@ -1,6 +1,7 @@
 """Capture record construction and the append-only record store."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +253,27 @@ def test_append_to_a_store_that_turned_unwritable_is_a_storage_error(tmp_path, n
     assert not (store.images_dir / picture_filename_for(TIMES[1])).exists()
     target.rmdir()
     assert store.append(make_record(2.0, "loc", TIMES[1]), _img(1)) == 2
+
+
+def test_a_failed_mark_write_keeps_the_old_mark(tmp_path, monkeypatch):
+    store = _filled_store(tmp_path, TIMES[:2])
+    store.delete_all(confirm=True)  # the mark alone now keeps ids 1 and 2 used
+    write_text = Path.write_text
+
+    def torn(self, *args, **kwargs):
+        if self.name.startswith("hwm"):
+            self.open("w").close()  # truncated, then the write fails
+            raise OSError("disk full")
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", torn)
+    with pytest.raises(StorageError, match="hwm"):
+        store.append(make_record(3.0, "loc", TIMES[2]), _img(2))
+    monkeypatch.undo()
+    assert sorted(p.name for p in store.directory.iterdir()) == ["hwm", "images", "records.log"]
+    again = RecordStore(store.directory)
+    assert again.list_all() == []
+    assert again.append(make_record(3.0, "loc", TIMES[2]), _img(2)) == 3
 
 
 def test_delete_all_on_a_store_that_turned_unwritable_is_a_storage_error(tmp_path):

@@ -488,6 +488,28 @@ def test_speed_accepts_calibration_file(workflow, capsys, tmp_path):
     assert doc["mS"] == pytest.approx(301 / 149.91)
 
 
+@pytest.mark.parametrize("source", ["doc:0", "doc:-5", "doc:NaN", "flag:nan"])
+def test_speed_refuses_calibration_numbers_that_are_not_finite_and_positive(
+    workflow, capsys, tmp_path, source
+):
+    kind, value = source.split(":")
+    if kind == "doc":
+        cal = speedpipe.calibrate(300.0, 3.0, 10.0, (640, 360)).to_doc()
+        cal_path = tmp_path / "cal.json"
+        # json writes a NaN float as NaN
+        cal_path.write_text(json.dumps({**cal, "pxPerM": float(value)}))
+        cal_args = ["--calibration", str(cal_path)]
+    else:
+        cal_args = ["--px-per-m", value]
+    base = ["speed", "--frames", str(workflow.seq), "--model", str(workflow.model)]
+    capsys.readouterr()
+    assert run(base + cal_args + _det_args(workflow.case.params)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err and "must be finite and positive" in err
+    assert "Traceback" not in err
+
+
 def test_calibrate_prints_to_stdout(capsys):
     capsys.readouterr()
     rc = run(

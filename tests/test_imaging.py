@@ -166,10 +166,11 @@ def test_sequence_without_manifest_needs_fps(tmp_path):
     assert frames[2].pixels[0, 0] == 2  # lexicographic order
 
 
-def test_sequence_manifest_errors(tmp_path):
+def test_sequence_manifest_errors(tmp_path, monkeypatch):
     d = tmp_path / "seq"
     d.mkdir()
-    (d / "a.pgm").write_bytes(imaging.save_pgm(Frame(1, 1, np.zeros((1, 1), np.uint8))))
+    pgm = imaging.save_pgm(Frame(1, 1, np.zeros((1, 1), np.uint8)))
+    (d / "a.pgm").write_bytes(pgm)
     (d / "manifest.tsv").write_text("a.pgm\n", encoding="utf-8")
     with pytest.raises(FormatError, match="manifest"):
         imaging.read_sequence(d)
@@ -184,6 +185,23 @@ def test_sequence_manifest_errors(tmp_path):
         imaging.read_sequence(d)
     with pytest.raises(FormatError, match="not found"):
         imaging.read_sequence(tmp_path / "nowhere")
+    # each name below exists and decodes, but is not a file of the directory
+    for path in [d / "sub" / "x.pgm", tmp_path / "outside" / "x.pgm"]:
+        path.parent.mkdir()
+        path.write_bytes(pgm)
+    decoded = []
+    load_pgm = imaging.load_pgm
+
+    def counted(data):
+        decoded.append(data)
+        return load_pgm(data)
+
+    monkeypatch.setattr(imaging, "load_pgm", counted)
+    for name in ["../outside/x.pgm", str(tmp_path / "outside" / "x.pgm"), "sub/x.pgm", ".."]:
+        (d / "manifest.tsv").write_text(f"a.pgm\t0\n{name}\t5\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="manifest.tsv:2: .*no directory part"):
+            imaging.read_sequence(d)
+    assert decoded == []  # refused before the first frame was read
 
 
 def test_draw_rect_outlines_without_mutating():

@@ -42,7 +42,7 @@ def test_codes_at_matches_scalar_path():
         ys = np.arange(0, 30 - 3 * bh + 1, 2, dtype=np.int64)
         gx = np.repeat(xs, ys.size)
         gy = np.tile(ys, xs.size)
-        got = kernels.codes_at(ii.sums, gx, gy, bw, bh)
+        got = kernels.codes_at(ii, gx, gy, bw, bh)
         want = [
             mblbp.lbp_code(ii, mblbp.MbLbpFeature(0, 0, bw, bh), (int(x), int(y)))
             for x, y in zip(gx, gy)
@@ -62,7 +62,7 @@ def test_codes_at_rejects_grids_outside_the_table(shift):
     x = np.array([0, 2, 4], np.int64)
     y = np.array([0, 3, 4], np.int64)
     if shift is None:
-        got = kernels.codes_at(ii.sums, x, y, 3, 2)
+        got = kernels.codes_at(ii, x, y, 3, 2)
         f = mblbp.MbLbpFeature(0, 0, 3, 2)
         assert got.tolist() == [mblbp.lbp_code(ii, f, (int(a), int(b))) for a, b in zip(x, y)]
         return
@@ -71,13 +71,13 @@ def test_codes_at_rejects_grids_outside_the_table(shift):
     x[k] += shift[0]
     y[k] += shift[1]
     with pytest.raises(BoundsError):
-        kernels.codes_at(ii.sums, x, y, 3, 2)
+        kernels.codes_at(ii, x, y, 3, 2)
 
 
 def test_codes_stack_matches_scalar_path():
     rng = np.random.default_rng(3)
     frames = [Frame(12, 9, rng.integers(0, 256, (9, 12), np.uint8)) for _ in range(6)]
-    sums = np.stack([imaging.integral(f).sums for f in frames])
+    sums = np.stack([imaging.integral(f) for f in frames])
     feats = [
         mblbp.MbLbpFeature(0, 0, 4, 3),
         mblbp.MbLbpFeature(1, 0, 2, 2),
@@ -95,7 +95,7 @@ def test_codes_stack_groups_interleaved_block_sizes():
     # block-size plane must gather its features back into their own columns
     rng = np.random.default_rng(5)
     frames = [Frame(13, 10, rng.integers(0, 256, (10, 13), np.uint8)) for _ in range(4)]
-    sums = np.stack([imaging.integral(f).sums for f in frames])
+    sums = np.stack([imaging.integral(f) for f in frames])
     feats = trainer.enumerate_features(13, 10, 2)
     feats = [feats[k] for k in rng.permutation(len(feats))]
     sizes = [(f.bw, f.bh) for f in feats]
@@ -118,21 +118,26 @@ def test_codes_stack_rejects_grids_outside_the_table(feat):
 def test_scan_numpy_matches_eval_window_at_every_origin():
     rng = np.random.default_rng(4)
     accepted = windows = 0
-    for trial in range(36):
-        stride = 1 + trial // 12
+    # 72x48 frames at strides 1-3, then frames one origin wide (nx == 1) or
+    # one origin high (ny == 1), with stride - 1 pixels to spare
+    cases = [(1 + trial // 12, None) for trial in range(36)]
+    cases += [(stride, axis) for axis in "xy" for stride in (2, 3, 4)]
+    for trial, (stride, thin) in enumerate(cases):
         model = _random_model(rng)
         scale = (1.0, 1.5, 2.0, 2.5)[trial % 4]
-        px = rng.integers(0, 256, (48, 72), np.uint8)
-        ii = imaging.integral(Frame(72, 48, px))
         fx, fy, fbw, fbh = mblbp.scaled_feature_arrays(model.features, scale)
         eff_w = int(np.max(fx + 3 * fbw))
         eff_h = int(np.max(fy + 3 * fbh))
-        xs = np.arange(0, 72 - eff_w + 1, stride, dtype=np.int64)
-        ys = np.arange(0, 48 - eff_h + 1, stride, dtype=np.int64)
-        got = kernels.scan_numpy(ii.sums, xs, ys, fx, fy, fbw, fbh, *_flatten_model(model))
-        want = np.array(
-            [[mblbp.eval_window(ii, model, (int(x), int(y)), scale) for x in xs] for y in ys]
-        )
+        width = eff_w + stride - 1 if thin == "x" else 72
+        height = eff_h + stride - 1 if thin == "y" else 48
+        px = rng.integers(0, 256, (height, width), np.uint8)
+        ii = imaging.integral(Frame(width, height, px))
+        nx = (width - eff_w) // stride + 1
+        ny = (height - eff_h) // stride + 1
+        assert (nx == 1, ny == 1) == (thin == "x", thin == "y")
+        got = kernels.scan_numpy(ii, stride, nx, ny, fx, fy, fbw, fbh, *_flatten_model(model))
+        xs, ys = range(0, nx * stride, stride), range(0, ny * stride, stride)
+        want = np.array([[mblbp.eval_window(ii, model, (x, y), scale) for x in xs] for y in ys])
         assert np.array_equal(got, want), f"trial {trial} (scale {scale}, stride {stride})"
         accepted += int(want.sum())
         windows += want.size
@@ -159,22 +164,22 @@ def _patch_scan_case():
 
 
 def _patch_lattice():
+    """(stride, nx, ny) of every origin whose feature grid fits the frame."""
     # feature grids span 1 + 3 * 4 = 13 by 1 + 3 * 2 = 7 pixels from the origin
-    xs = np.arange(0, 60 - 13 + 1, 2, dtype=np.int64)
-    return xs, np.arange(0, 40 - 7 + 1, 2, dtype=np.int64)
+    return 2, (60 - 13) // 2 + 1, (40 - 7) // 2 + 1
 
 
 @pytest.mark.parametrize("rows", [1, 3, 5])
 def test_scan_numpy_bands_equal_one_band(monkeypatch, rows):
     ii, model = _patch_scan_case()
     arrays = mblbp.scaled_feature_arrays(model.features, 1.0)
-    xs, ys = _patch_lattice()
+    lattice = _patch_lattice()
     flat = _flatten_model(model)
-    whole = kernels.scan_numpy(ii.sums, xs, ys, *arrays, *flat)
+    whole = kernels.scan_numpy(ii, *lattice, *arrays, *flat)
     assert whole[10, 15]  # origin (30, 20)
-    survivors = [int(whole[top : top + rows].sum()) for top in range(0, ys.size, rows)]
+    survivors = [int(whole[top : top + rows].sum()) for top in range(0, whole.shape[0], rows)]
     assert 0 in survivors  # the flat rows above the patch make empty bands
-    monkeypatch.setattr(kernels, "SCAN_BAND_ORIGINS", rows * xs.size)
+    monkeypatch.setattr(kernels, "SCAN_BAND_ORIGINS", rows * whole.shape[1])
     gathered = []
     codes_at = kernels.codes_at
 
@@ -183,7 +188,7 @@ def test_scan_numpy_bands_equal_one_band(monkeypatch, rows):
         return codes_at(sums, x, *rest)
 
     monkeypatch.setattr(kernels, "codes_at", counted)
-    banded = kernels.scan_numpy(ii.sums, xs, ys, *arrays, *flat)
+    banded = kernels.scan_numpy(ii, *lattice, *arrays, *flat)
     assert np.array_equal(banded, whole)
     # stage 1 repeats stage 0: only bands with survivors reach it, once per band
     assert gathered == [n for n in survivors if n]
@@ -193,13 +198,13 @@ def test_scan_numpy_bands_equal_one_band(monkeypatch, rows):
 def test_scan_numpy_rejects_a_lattice_one_pixel_past_the_table(axis):
     ii, model = _patch_scan_case()
     arrays = mblbp.scaled_feature_arrays(model.features, 1.0)
-    xs, ys = _patch_lattice()
+    stride, nx, ny = _patch_lattice()
     if axis == "x":
-        xs = np.append(xs, xs[-1] + 2)  # the last grid ends at column 61 of 60
+        nx += 1  # the last grid ends at column 61 of 60
     else:
-        ys = np.append(ys, ys[-1] + 2)  # the last grid ends at row 41 of 40
+        ny += 1  # the last grid ends at row 41 of 40
     with pytest.raises(BoundsError):
-        kernels.scan_numpy(ii.sums, xs, ys, *arrays, *_flatten_model(model))
+        kernels.scan_numpy(ii, stride, nx, ny, *arrays, *_flatten_model(model))
 
 
 def test_scan_entry_points():

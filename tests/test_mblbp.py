@@ -336,6 +336,17 @@ def test_load_error_names_missing_field():
 def test_load_rejects_malformed_documents():
     with pytest.raises(FormatError, match="not valid JSON"):
         load_model("{nope")
+    # JSON's NaN and infinities parse, but a model number must be finite
+    for field in ["threshold", "leafIn", "leafOut"]:
+        for bad in ["NaN", "Infinity", "-Infinity"]:
+            numbers = {"threshold": "0.5", "leafIn": "1.0", "leafOut": "-1.0", field: bad}
+            text = (
+                '{"features": [[0,0,2,2]], "stages": [{"threshold": %(threshold)s, "weaks": '
+                '[{"feature": 0, "subset": [0,0,0,0,0,0,0,0], "leafIn": %(leafIn)s, '
+                '"leafOut": %(leafOut)s}]}]}'
+            ) % numbers
+            with pytest.raises(FormatError, match=f'"{field}" must be finite'):
+                load_model(text)
     with pytest.raises(FormatError):
         load_model("[1, 2]")
     with pytest.raises(FormatError, match="subset"):
@@ -504,13 +515,19 @@ def test_xml_import_rejects_weak_count_mismatch():
 
 
 def test_xml_import_reports_line_of_bad_number():
-    text = XML_FIXTURE.replace("<stageThreshold>0.1</stageThreshold>", "<stageThreshold>1.2.3</stageThreshold>")
-    with pytest.raises(FormatError) as err:
-        import_cascade_xml(text)
-    message = str(err.value)
-    assert "1.2.3" in message
-    expected_line = text[: text.index("1.2.3")].count("\n") + 1
-    assert f"(line {expected_line})" in message
+    # not a number, or not finite, as a stage threshold or as a leaf value
+    for bad in ["1.2.3", "nan", "inf", "-inf", "1e999"]:
+        for old, new in [
+            ("<stageThreshold>0.1<", f"<stageThreshold>{bad}<"),
+            ("0.25 -0.125", f"0.25 {bad}"),
+        ]:
+            text = XML_FIXTURE.replace(old, new)
+            with pytest.raises(FormatError) as err:
+                import_cascade_xml(text)
+            message = str(err.value)
+            assert bad in message
+            expected_line = text[: text.index(bad)].count("\n") + 1
+            assert f"(line {expected_line})" in message
 
 
 def test_xml_import_rejects_malformed_documents():

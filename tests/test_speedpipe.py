@@ -229,6 +229,16 @@ def test_calibrate_rejects_degenerate_inputs():
         calibrate(449.73, 3.0, 0.0, (1920, 1080))
     with pytest.raises(ConfigError):
         calibrate(449.73, 3.0, 10.0, (0, 1080))
+    # not finite, or a quotient past float range
+    for args in [
+        (math.nan, 3.0, 10.0),
+        (449.73, math.inf, 10.0),
+        (449.73, 3.0, -math.inf),
+        (449.73, 3.0, math.nan),
+        (1e300, 1e-300, 10.0),
+    ]:
+        with pytest.raises(ConfigError, match="finite and positive"):
+            calibrate(*args, (1920, 1080))
 
 
 def test_calibration_doc_round_trip():
@@ -239,6 +249,14 @@ def test_calibration_doc_round_trip():
         calibration_from_doc({"pxPerM": 100.0})
     with pytest.raises(ConfigError):
         calibration_from_doc({**cal.to_doc(), "frame": [1920]})
+    # each number must be finite and positive, whichever field holds it
+    for key in ["pxPerM", "objectPxLen", "objectLenM", "vehicleDistanceM"]:
+        for bad in [0, -5, math.nan, math.inf]:
+            with pytest.raises(ConfigError, match=f"{key} must be finite and positive"):
+                calibration_from_doc({**cal.to_doc(), key: bad})
+    for frame in [[0, 1080], [1920, -1], [math.inf, 1080], [1920, math.nan]]:
+        with pytest.raises(ConfigError):
+            calibration_from_doc({**cal.to_doc(), "frame": frame})
 
 
 # --- finalize ---
