@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 
 import argparse
 import json
+import math
 import sys
 import threading
 from datetime import datetime
@@ -165,6 +166,8 @@ def _calibration_from_args(args, frame_dims) -> speedpipe.CalibrationProfile:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"calibration {path} is not JSON: {exc}") from None
         return speedpipe.calibration_from_doc(doc)
+    if not (math.isfinite(args.px_per_m) and args.px_per_m > 0):
+        raise ConfigError(f"--px-per-m must be finite and positive, got {args.px_per_m}")
     # direct coefficient: record it as a 1-metre reference object
     return speedpipe.calibrate(args.px_per_m, 1.0, 1.0, frame_dims)
 

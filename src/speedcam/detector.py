@@ -90,13 +90,17 @@ def scale_schedule(
 
 
 def _flatten_model(model: CascadeModel):
-    """(wfeat, votes, sbound, sthr), the array form ``kernels.scan_numpy`` takes."""
+    """(wfeat, votes, sbound, sthr, vmax, wcheck), the arrays ``kernels.scan_numpy`` takes."""
     weaks = [w for stage in model.stages for w in stage.weaks]
+    votes = vote_table(weaks)
+    sbound = np.cumsum([0] + [len(stage.weaks) for stage in model.stages], dtype=np.int64)
+    sthr = np.array([stage.threshold for stage in model.stages], dtype=np.float64)
     return (
         np.array([w.feature_index for w in weaks], dtype=np.int64),
-        vote_table(weaks),
-        np.cumsum([0] + [len(stage.weaks) for stage in model.stages], dtype=np.int64),
-        np.array([stage.threshold for stage in model.stages], dtype=np.float64),
+        votes,
+        sbound,
+        sthr,
+        *kernels.weak_checks(votes, sbound, sthr),
     )
 
 

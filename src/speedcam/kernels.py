@@ -2,16 +2,28 @@
 
 The scan is vectorized numpy over a lattice of window origins, given as
 ``(stride, nx, ny)``: the origins are (ix*stride, iy*stride) for ix < nx
-and iy < ny. Stage 0 sees every origin, so each of its weak classifiers
-reads the 16 grid corners of every origin as one strided view of the
-prefix table (``_corner_view``): no index array and no gather.
-Origins a stage rejects drop out; later stages gather the corners of the
-few survivors with ``codes_at``. The lattice runs in bands of whole rows,
-at most ``SCAN_BAND_ORIGINS`` origins each, which bounds the block
-temporaries on large frames. Votes accumulate in weak-classifier order as
-float64, as in ``mblbp.eval_window``, the scalar reference the tests
-compare against. The trainer's ``codes_stack`` reads its corners through
-the same view, over a stack of sample tables.
+and iy < ny. Votes accumulate in weak-classifier order as float64, as in
+``mblbp.eval_window``, the scalar reference the tests compare against.
+
+A window is rejected weak by weak, not only at stage ends. After a weak
+that can fail some window, a window is dropped when its bound is below the
+stage threshold; the bound is its running vote sum plus the largest vote
+of each remaining weak of the stage, added one by one in weak order. The
+rounded float64 sum is monotonic in each operand, so the bound is never
+below the sum the window would reach, and a dropped window is one the
+stage would have rejected: the mask is exactly the stage-end one. The
+stage end is the same check with no weaks left. Which weaks can fail any
+window is known from the model alone (``wcheck``), so the others get no
+check.
+
+Until a check drops an origin, a band of the lattice is read densely:
+each weak reads the 16 grid corners of every origin as one strided view
+of the prefix table (``_corner_view``), with no index array and no
+gather. After that, later weaks gather the corners of the survivors only,
+with ``codes_at``. The lattice runs in bands of whole rows, at most
+``SCAN_BAND_ORIGINS`` origins each, which bounds the block temporaries on
+large frames. The trainer's ``codes_stack`` reads its corners through the
+same view, over a stack of sample tables.
 
 The scan works on flattened model arrays so the hot loop never touches
 Python objects:
@@ -23,14 +35,20 @@ Python objects:
   is weak w's vote for code c
 * ``sbound``            stage boundaries into the weak arrays (len n_stages+1)
 * ``sthr``              per-stage acceptance thresholds
+* ``vmax, wcheck``      each weak's largest vote, and whether the bound
+  after it can fall below the stage threshold (``weak_checks``)
 """
 
 import numpy as np
 
 from speedcam.errors import BoundsError
 
-# neighbor block (row, col) in bit order: TL=bit7, then clockwise to L=bit0
-_NEIGHBOR_ORDER = ((0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0))
+# bit weight of each block of the row-major 3x3 grid: TL=bit7, then
+# clockwise to L=bit0; the center weighs 0
+_BIT_WEIGHTS = np.array([128, 64, 32, 1, 0, 16, 2, 4, 8], dtype=np.uint8)[:, None]
+
+# grid row and column numbers of the 4x4 prefix-table corners
+_GRID = np.arange(4)
 
 # origins per scan band: a 640x360 frame at stride 2 is one band, and the
 # (3, 3, rows, nx) int64 block temporaries of a band stay near 5 MB each
@@ -54,11 +72,8 @@ def _codes(corners: np.ndarray) -> np.ndarray:
     block grid; the trailing axes index independent grids.
     """
     blocks = corners[1:, 1:] - corners[:-1, 1:] - corners[1:, :-1] + corners[:-1, :-1]
-    center = blocks[1, 1]
-    codes = np.zeros(center.shape, dtype=np.uint8)
-    for bit, (i, j) in zip(range(7, -1, -1), _NEIGHBOR_ORDER):
-        codes |= np.uint8(1 << bit) * (blocks[i, j] >= center).astype(np.uint8)
-    return codes
+    ge = (blocks >= blocks[1, 1]).reshape(9, -1)
+    return (ge * _BIT_WEIGHTS).sum(axis=0, dtype=np.uint8).reshape(blocks.shape[2:])
 
 
 def codes_at(sums: np.ndarray, x: np.ndarray, y: np.ndarray, bw: int, bh: int) -> np.ndarray:
@@ -76,8 +91,7 @@ def codes_at(sums: np.ndarray, x: np.ndarray, y: np.ndarray, bw: int, bh: int) -
         min(x.min(), y.min()) < 0 or x.max() + 3 * bw >= w1 or y.max() + 3 * bh >= h1
     ):
         raise BoundsError(f"a grid of {bw}x{bh} blocks leaves the {w1 - 1}x{h1 - 1} table")
-    i, j = np.ogrid[:4, :4]
-    offsets = (i * (bh * w1) + j * bw)[:, :, None]
+    offsets = (_GRID[:, None] * (bh * w1) + _GRID * bw)[:, :, None]
     return _codes(sums.take(offsets + (y * w1 + x)))  # take reads the flattened table
 
 
@@ -141,43 +155,86 @@ def codes_stack(
     return out
 
 
-def scan_numpy(sums, stride, nx, ny, fx, fy, fbw, fbh, wfeat, votes, sbound, sthr):
+def _bound(acc, tail):
+    """acc plus each vote of tail, added one by one in weak order (float64).
+
+    Rounded addition is monotonic in each operand, so with acc a running
+    vote sum and tail the largest votes of the weaks still to come, the
+    result is never below the stage sum those weaks can give.
+    """
+    for m in tail:
+        acc = acc + m
+    return acc
+
+
+def weak_checks(votes, sbound, sthr):
+    """(vmax, wcheck) for ``scan_numpy``, from the flattened model.
+
+    vmax is each weak's largest vote. wcheck[k] is False when no window can
+    fail the bound after weak k: the stage's sequential sum of smallest
+    votes through weak k, bounded over the weaks after it, still reaches
+    the stage threshold.
+    """
+    vmin, vmax = votes.min(axis=1), votes.max(axis=1)
+    wcheck = np.zeros(vmax.size, dtype=bool)
+    for si, thr in enumerate(sthr):
+        lo = 0.0
+        for k in range(sbound[si], sbound[si + 1]):
+            lo += vmin[k]
+            wcheck[k] = _bound(lo, vmax[k + 1 : sbound[si + 1]]) < thr
+    return vmax, wcheck
+
+
+def scan_numpy(sums, stride, nx, ny, fx, fy, fbw, fbh, wfeat, votes, sbound, sthr, vmax, wcheck):
     """Cascade acceptance mask over an origin lattice, vectorized numpy path.
 
     The origins are (ix*stride, iy*stride) for ix < nx and iy < ny.
     Returns bool (ny, nx); True where every stage sum met its threshold.
     The lattice runs in bands of whole rows, at most SCAN_BAND_ORIGINS
-    origins each (or one row). Stage 0 reads every origin of a band
-    through one corner view per weak; later stages gather the corners of
-    the origins still alive with ``codes_at``.
+    origins each (or one row). A band reads each weak through one corner
+    view until a check drops one of its origins; later weaks gather the
+    corners of the origins still alive with ``codes_at``.
     """
-    mask = np.ones((ny, nx), dtype=bool)
-    if mask.size == 0 or sthr.size == 0:
+    mask = np.zeros((ny, nx), dtype=bool)
+    if mask.size == 0:
         return mask
     rows = max(1, SCAN_BAND_ORIGINS // nx)
     for top in range(0, ny, rows):
         band = mask[top : top + rows]  # a view: the band writes the mask
-        acc = np.zeros(band.shape, dtype=np.float64)
-        for wi in range(sbound[0], sbound[1]):
-            f = wfeat[wi]
-            corners = _corner_view(
-                sums, int(fx[f]), top * stride + int(fy[f]), stride, stride,
-                nx, band.shape[0], int(fbw[f]), int(fbh[f]),
-            )
-            acc += votes[wi][_codes(corners)]
-        band[...] = acc >= sthr[0]
-        iy, ix = np.nonzero(band)
-        ax, ay = ix * stride, (top + iy) * stride
-        alive = np.ones(ax.size, dtype=bool)
-        for si in range(1, sthr.size):
-            if not alive.any():
-                break
-            cx, cy = ax[alive], ay[alive]
-            acc = np.zeros(cx.size, dtype=np.float64)
-            for wi in range(sbound[si], sbound[si + 1]):
+        alive = None  # flat band indices of the survivors, once a check drops one
+        for si in range(sthr.size):
+            end = sbound[si + 1]
+            for wi in range(sbound[si], end):
                 f = wfeat[wi]
-                codes = codes_at(sums, cx + fx[f], cy + fy[f], int(fbw[f]), int(fbh[f]))
-                acc += votes[wi][codes]
-            alive[alive] = acc >= sthr[si]
-        band[iy, ix] = alive
+                if alive is None:
+                    codes = _codes(_corner_view(
+                        sums, int(fx[f]), top * stride + int(fy[f]), stride, stride,
+                        nx, band.shape[0], int(fbw[f]), int(fbh[f]),
+                    ))
+                else:
+                    codes = codes_at(sums, ax + fx[f], ay + fy[f], int(fbw[f]), int(fbh[f]))
+                if wi == sbound[si]:
+                    acc = votes[wi][codes]
+                else:
+                    acc += votes[wi][codes]
+                if not wcheck[wi]:
+                    continue
+                keep = _bound(acc, vmax[wi + 1 : end]) >= sthr[si]
+                if alive is None:
+                    if keep.all():
+                        continue
+                    alive = np.flatnonzero(keep)
+                else:
+                    alive = alive[keep]
+                acc = acc[keep]
+                iy, ix = np.divmod(alive, nx)
+                ax, ay = ix * stride, (top + iy) * stride
+                if alive.size == 0:
+                    break
+            if alive is not None and alive.size == 0:
+                break
+        if alive is None:
+            band[...] = True
+        else:
+            band.reshape(-1)[alive] = True
     return mask

@@ -510,6 +510,17 @@ def test_speed_refuses_calibration_numbers_that_are_not_finite_and_positive(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["nan", "0", "-5", "inf"])
+def test_speed_px_per_m_refusal_names_the_flag(workflow, capsys, value):
+    base = ["speed", "--frames", str(workflow.seq), "--model", str(workflow.model)]
+    capsys.readouterr()
+    assert run(base + ["--px-per-m", value] + _det_args(workflow.case.params)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: --px-per-m must be finite and positive, got {float(value)}" in err
+    assert "objectPxLen" not in err
+
+
 def test_calibrate_prints_to_stdout(capsys):
     capsys.readouterr()
     rc = run(

@@ -144,6 +144,67 @@ def test_scan_numpy_matches_eval_window_at_every_origin():
     assert 0 < accepted < windows  # both outcomes are exercised
 
 
+# leaves whose float64 sums depend on the order of addition
+_NASTY_LEAVES = (0.1, 0.2, 0.7, -0.1, -0.7, 1e16, -1e16)
+
+
+def _tie_model(rng, frame_code):
+    """Random cascade of 1-3 stages of 1-5 weaks, with leaves from
+    _NASTY_LEAVES, each threshold a sequential sum of one vote per weak.
+
+    Half the thresholds sum the votes a window of all frame_code codes
+    gets, so such a window ties with the threshold.
+    """
+    w, h = 12, 9
+    features = [
+        mblbp.MbLbpFeature(int(rng.integers(0, 4)), int(rng.integers(0, 4)),
+                           int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+        for _ in range(3)
+    ]
+    stages = []
+    for _ in range(int(rng.integers(1, 4))):
+        weaks = []
+        for _ in range(int(rng.integers(1, 6))):
+            words = rng.integers(0, 2**32, 8, dtype=np.uint64)
+            if rng.random() < 0.5:  # a subset of all or no codes: one vote only
+                words[:] = 0 if rng.random() < 0.5 else 2**32 - 1
+            leaf_in, leaf_out = (float(v) for v in rng.choice(_NASTY_LEAVES, 2))
+            weaks.append(mblbp.WeakClassifier(
+                int(rng.integers(0, len(features))), tuple(int(v) for v in words),
+                leaf_in, leaf_out,
+            ))
+        tie = rng.random() < 0.5
+        thr = 0.0
+        for wk in weaks:
+            if tie:
+                hit = mblbp.subset_contains(wk.subset, frame_code)
+            else:
+                hit = rng.random() < 0.5
+            thr += wk.leaf_in if hit else wk.leaf_out
+        stages.append(mblbp.Stage(thr, tuple(weaks)))
+    return mblbp.CascadeModel(tuple(features), tuple(stages), w, h)
+
+
+def test_scan_numpy_rejection_is_exact_on_nonassociative_leaves_and_ties():
+    rng = np.random.default_rng(14)
+    stride, width, height = 2, 20, 15
+    nx, ny = (width - 12) // stride + 1, (height - 9) // stride + 1
+    flat = np.full((height, width), 77, np.uint8)
+    outcomes = set()
+    for trial in range(300):
+        noisy = trial % 2 == 1
+        px = rng.integers(0, 256, (height, width), np.uint8) if noisy else flat
+        ii = imaging.integral(Frame(width, height, px))
+        model = _tie_model(rng, frame_code=255)  # a flat grid's code
+        arrays = mblbp.scaled_feature_arrays(model.features, 1.0)
+        got = kernels.scan_numpy(ii, stride, nx, ny, *arrays, *_flatten_model(model))
+        xs, ys = range(0, nx * stride, stride), range(0, ny * stride, stride)
+        want = np.array([[mblbp.eval_window(ii, model, (x, y)) for x in xs] for y in ys])
+        assert np.array_equal(got, want), f"trial {trial}"
+        outcomes.update(np.unique(want).tolist())
+    assert outcomes == {False, True}
+
+
 def _patch_scan_case():
     """A 60x40 frame, flat but for one textured 20x10 patch at (30, 20), and a
     one-feature cascade that accepts the patch's code at (30, 20)."""
@@ -192,6 +253,100 @@ def test_scan_numpy_bands_equal_one_band(monkeypatch, rows):
     assert np.array_equal(banded, whole)
     # stage 1 repeats stage 0: only bands with survivors reach it, once per band
     assert gathered == [n for n in survivors if n]
+
+
+def _counted_scan(monkeypatch, ii, model):
+    """scan_numpy over the patch lattice, with the origins of each codes_at call."""
+    calls = []
+    codes_at = kernels.codes_at
+
+    def counted(sums, x, y, bw, bh):
+        calls.append((x, y))
+        return codes_at(sums, x, y, bw, bh)
+
+    monkeypatch.setattr(kernels, "codes_at", counted)
+    arrays = mblbp.scaled_feature_arrays(model.features, 1.0)
+    return kernels.scan_numpy(ii, *_patch_lattice(), *arrays, *_flatten_model(model)), calls
+
+
+def test_scan_numpy_scores_later_weaks_on_survivors_only(monkeypatch):
+    ii, model = _patch_scan_case()
+    first = model.stages[0].weaks[0]
+    # weak 0's leaf_out leaves weak 1 unable to reach 2.0, so its misses drop
+    other = mblbp.WeakClassifier(1, (2**32 - 1,) * 8, 1.0, -1.0)
+    weak0 = mblbp.WeakClassifier(0, first.subset, 1.0, -1.0)
+    feats = (model.features[0], mblbp.MbLbpFeature(2, 0, 3, 2))
+    model = mblbp.CascadeModel(feats, (mblbp.Stage(2.0, (weak0, other)),), 20, 10)
+    got, calls = _counted_scan(monkeypatch, ii, model)
+    stride, nx, ny = _patch_lattice()
+    hits = {
+        (x, y)
+        for y in range(0, ny * stride, stride)
+        for x in range(0, nx * stride, stride)
+        if mblbp.eval_weak(ii, weak0, model, (x, y)) == 1.0
+    }
+    assert 0 < len(hits) < nx * ny
+    assert len(calls) == 1  # one band, one gathered weak
+    x, y = calls[0]
+    assert sorted(zip((x - 2).tolist(), y.tolist())) == sorted(hits)
+    iy, ix = np.nonzero(got)  # weak 1 holds every code, so the hits are accepted
+    assert sorted(zip((ix * stride).tolist(), (iy * stride).tolist())) == sorted(hits)
+
+
+def test_scan_numpy_reads_a_stage_densely_until_a_check_drops_an_origin(monkeypatch):
+    ii, model = _patch_scan_case()
+    feats = (model.features[0], mblbp.MbLbpFeature(2, 0, 3, 2), mblbp.MbLbpFeature(0, 2, 2, 1))
+    weaks = tuple(
+        mblbp.WeakClassifier(i, model.stages[0].weaks[0].subset, 1.0, -1.0) for i in range(3)
+    )
+    # bounds after weaks 0 and 1 are at least -1 + 2 and -2 + 1, so only
+    # the stage end, where a window with three misses sums to -3, can fail
+    model = mblbp.CascadeModel(feats, (mblbp.Stage(-2.0, weaks),), 20, 10)
+    assert _flatten_model(model)[-1].tolist() == [False, False, True]
+    got, calls = _counted_scan(monkeypatch, ii, model)
+    stride, nx, ny = _patch_lattice()
+    xs, ys = range(0, nx * stride, stride), range(0, ny * stride, stride)
+    want = np.array([[mblbp.eval_window(ii, model, (x, y)) for x in xs] for y in ys])
+    assert np.array_equal(got, want)
+    assert 0 < want.sum() < want.size
+    assert calls == []
+
+
+def _one_bit_grids():
+    """Nine 3x3 one-pixel-block grids, the center and each neighbour
+    alone at or above the center (the rest below), with the codes
+    ``mblbp.lbp_code`` gives them."""
+    grids, codes = [], []
+    unit = mblbp.MbLbpFeature(0, 0, 1, 1)
+    for k in range(9):
+        grid = np.full((3, 3), 5, np.uint8)
+        grid[1, 1] = 10
+        grid.flat[k] = 10
+        grids.append(grid)
+        codes.append(mblbp.lbp_code(imaging.integral(Frame(3, 3, grid)), unit, (0, 0)))
+    return grids, codes
+
+
+def test_codes_bit_order_matches_lbp_code_on_every_layout():
+    grids, want = _one_bit_grids()
+    assert sorted(want) == [0] + [1 << b for b in range(8)]  # the center sets no bit
+    # flat (4, 4, n): codes_at at the nine grids of a 3x27 strip
+    strip = imaging.integral(Frame(27, 3, np.hstack(grids)))
+    x = np.arange(0, 27, 3, dtype=np.int64)
+    assert kernels.codes_at(strip, x, np.zeros(9, np.int64), 1, 1).tolist() == want
+    # lattice (4, 4, ny, nx): the grids tiled 3 high and 3 wide
+    tiles = np.vstack([np.hstack(grids[r * 3 : r * 3 + 3]) for r in range(3)])
+    sums = imaging.integral(Frame(9, 9, tiles))
+    view = kernels._corner_view(sums, 0, 0, 3, 3, 3, 3, 1, 1)
+    assert view.shape == (4, 4, 3, 3)
+    assert kernels._codes(view).reshape(-1).tolist() == want
+    # stack (4, 4, s, ny, nx): the grids over three samples of one row of three
+    stack = np.stack([
+        imaging.integral(Frame(9, 3, np.hstack(grids[s * 3 : s * 3 + 3]))) for s in range(3)
+    ])
+    view = kernels._corner_view(stack, 0, 0, 3, 3, 3, 1, 1, 1)
+    assert view.shape == (4, 4, 3, 1, 3)
+    assert kernels._codes(view).reshape(-1).tolist() == want
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
