@@ -10,7 +10,7 @@ full hard-negative mining).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,13 +31,20 @@ from speedcam.mblbp import (
 POSITIVE = "positive"
 NEGATIVE = "negative"
 
-# ceiling on the feature table plus a cache's uint8 codes and best_weak's
-# int64 code indices
+# ceiling on the feature table, a cache's codes and best_weak's search arrays
 CACHE_MAX_BYTES = 1 << 30
 
 # one enumerated MbLbpFeature (112 B on 64-bit CPython, by tracemalloc) plus
 # its four int64 entries in scaled_feature_arrays
 FEATURE_BYTES = 144
+
+# per sample and feature: the uint8 code, best_weak's int64 bin key and its
+# float64 weight plane
+SAMPLE_FEATURE_BYTES = 1 + 8 + 8
+
+# per feature: best_weak's (2, nf, 256) float64 mass table and its
+# (nf, 256) minimum
+SEARCH_FEATURE_BYTES = 3 * 256 * 8
 
 # boosting clamps a weak's error into [EPSILON_CLAMP, 1 - EPSILON_CLAMP],
 # so a perfect weak gets a finite alpha
@@ -113,29 +120,53 @@ def feature_count(window_w: int, window_h: int, stride: int = 1) -> int:
 
 def _check_cache_size(n_samples: int, n_features: int) -> None:
     """Refuse with ConfigError when a cache would exceed CACHE_MAX_BYTES."""
-    need = n_features * (n_samples * (1 + 8) + FEATURE_BYTES)
+    per_feature = n_samples * SAMPLE_FEATURE_BYTES + FEATURE_BYTES + SEARCH_FEATURE_BYTES
+    need = n_features * per_feature
     if need > CACHE_MAX_BYTES:
         raise ConfigError(
             f"{n_samples} samples x {n_features} features need "
-            f"{need / 2**30:.1f} GiB of features and training codes, over "
+            f"{need / 2**30:.1f} GiB of features, codes and weak-search tables, over "
             f"the {CACHE_MAX_BYTES / 2**30:g} GiB limit; use a larger --feature-stride"
         )
 
 
 @dataclass(eq=False)
 class SampleCache:
-    """Precomputed per-feature codes of every sample."""
+    """Precomputed per-feature codes of every sample.
+
+    ``search`` holds ``best_weak``'s arrays, built by its first call on the
+    cache and refilled in place by later ones, so a cache that is never
+    searched never holds them.
+    """
 
     codes: np.ndarray  # (n, n_features) uint8
     positive: np.ndarray  # (n,) bool
+    search: "_WeakSearch | None" = field(default=None, init=False, repr=False)
+
+
+class _WeakSearch:
+    """Flat bin keys of one cache and the scratch one weak search fills.
+
+    ``keys[i, f]`` is ``f * 256 + code``, offset by ``nf * 256`` on negative
+    rows, so one pass over it fills the positive and negative mass tables.
+    """
+
+    def __init__(self, cache: SampleCache):
+        n, nf = cache.codes.shape
+        self.keys = cache.codes.astype(np.int64)
+        self.keys += np.arange(nf, dtype=np.int64) * 256
+        self.keys[~cache.positive] += nf * 256
+        self.plane = np.empty((n, nf), dtype=np.float64)
+        self.masses = np.empty((2, nf, 256), dtype=np.float64)
+        self.mins = np.empty((nf, 256), dtype=np.float64)
 
 
 def build_cache(samples: list[TrainSample], features: list[MbLbpFeature]) -> SampleCache:
     """Stack integral tables and evaluate every feature on every sample.
 
     Refuses with ConfigError, before allocating, when the feature table,
-    the codes and the int64 indices ``best_weak`` derives from them would
-    exceed ``CACHE_MAX_BYTES`` (``_check_cache_size``).
+    the codes and the arrays ``best_weak`` derives from them would exceed
+    ``CACHE_MAX_BYTES`` (``_check_cache_size``).
     """
     if not samples:
         raise ConfigError("no samples")
@@ -164,23 +195,19 @@ def best_weak(
 
     For each feature, code c joins the subset iff positive mass at c
     strictly exceeds negative mass; the error is then the total of the
-    losing masses, sum(min(pos_mass, neg_mass)).
+    losing masses, sum(min(pos_mass, neg_mass)). The masses are summed in
+    sample order (``np.add.at`` adds in C order of the keys), so ties fall
+    the same way on every call.
     """
     weights = np.array([s.weight for s in samples], dtype=np.float64)
-    pos = cache.positive
-    nf = len(features)
-    idx = cache.codes.astype(np.int64) + np.arange(nf, dtype=np.int64)[None, :] * 256
-
-    def mass(rows):
-        sel = idx[rows]
-        wsel = np.broadcast_to(weights[rows][:, None], sel.shape)
-        return np.bincount(sel.ravel(), weights=wsel.ravel(), minlength=nf * 256).reshape(
-            nf, 256
-        )
-
-    pos_mass = mass(pos)
-    neg_mass = mass(~pos)
-    errors = np.minimum(pos_mass, neg_mass).sum(axis=1)
+    if cache.search is None:
+        cache.search = _WeakSearch(cache)
+    search = cache.search
+    search.plane[...] = weights[:, None]
+    search.masses.fill(0.0)
+    np.add.at(search.masses.reshape(-1), search.keys.reshape(-1), search.plane.reshape(-1))
+    pos_mass, neg_mass = search.masses
+    errors = np.minimum(pos_mass, neg_mass, out=search.mins).sum(axis=1)
     fbest = int(np.argmin(errors))  # first occurrence keeps enumeration order
     in_codes = np.nonzero(pos_mass[fbest] > neg_mass[fbest])[0]
     weak = WeakClassifier(

@@ -77,6 +77,32 @@ def exhaustive_best_error(codes: np.ndarray, positive: np.ndarray, weights: np.n
     return best
 
 
+def bincount_weak_search(codes: np.ndarray, positive: np.ndarray, weights: np.ndarray):
+    """Reference weak search: each class's mass table from its own bincount.
+
+    codes is (n_samples, n_features) uint8. The mass at (f, c) is summed
+    over the class's rows in sample order. Returns the first feature of
+    minimal error sum(min(pos_mass, neg_mass)), the codes whose positive
+    mass strictly exceeds the negative mass there, and that error.
+    """
+    nf = codes.shape[1]
+    idx = codes.astype(np.int64) + np.arange(nf, dtype=np.int64)[None, :] * 256
+
+    def mass(rows):
+        sel = idx[rows]
+        wsel = np.broadcast_to(weights[rows][:, None], sel.shape)
+        return np.bincount(sel.ravel(), weights=wsel.ravel(), minlength=nf * 256).reshape(
+            nf, 256
+        )
+
+    pos_mass = mass(positive)
+    neg_mass = mass(~positive)
+    errors = np.minimum(pos_mass, neg_mass).sum(axis=1)
+    f = int(np.argmin(errors))
+    in_codes = [int(c) for c in np.nonzero(pos_mass[f] > neg_mass[f])[0]]
+    return f, in_codes, float(errors[f])
+
+
 def similar_rects(r, q, eps: float) -> bool:
     """Grouping similarity: each pair of edges within eps of the pair's mean size."""
     dw = eps * (r.w + q.w) / 2.0

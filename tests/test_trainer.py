@@ -1,16 +1,23 @@
 """Feature enumeration, exact weak learning, boosting, and cascade training."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import count_features, exhaustive_best_error
+from oracles import bincount_weak_search, count_features, exhaustive_best_error
 from speedcam import imaging, mblbp, trainer
 from speedcam.errors import ConfigError
 from speedcam.imaging import Frame
-from speedcam.mblbp import MbLbpFeature, load_model, save_model, subset_contains
+from speedcam.mblbp import (
+    MbLbpFeature,
+    load_model,
+    save_model,
+    subset_contains,
+    subset_from_codes,
+)
 from speedcam.trainer import (
     NEGATIVE,
     POSITIVE,
@@ -152,6 +159,22 @@ def test_train_cascade_refuses_oversized_cache_before_enumerating(monkeypatch):
         train_cascade(pos, neg, TrainConfig(1, 1))
 
 
+def test_train_cascade_counts_the_weak_search_tables(monkeypatch):
+    # two 60x60 samples have 348,100 stride-1 features: about 54 MB of codes
+    # and feature table, but best_weak's three (features, 256) float64
+    # tables take another 2 GiB
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerate_features called before the size check")
+
+    monkeypatch.setattr(trainer, "enumerate_features", enumerate_nothing)
+    n_features = feature_count(60, 60)
+    assert n_features * (2 * 9 + trainer.FEATURE_BYTES) < trainer.CACHE_MAX_BYTES
+    frame = Frame(60, 60, np.zeros((60, 60), np.uint8))
+    pos, neg = [TrainSample(frame, POSITIVE)], [TrainSample(frame, NEGATIVE)]
+    with pytest.raises(ConfigError, match=rf"2 samples x {n_features} features"):
+        train_cascade(pos, neg, TrainConfig(1, 1))
+
+
 def test_build_cache_rejects_mixed_window_sizes():
     a = TrainSample(Frame(6, 6, np.zeros((6, 6), np.uint8)), POSITIVE)
     b = TrainSample(Frame(9, 6, np.zeros((6, 9), np.uint8)), NEGATIVE)
@@ -233,6 +256,89 @@ def test_best_weak_prefers_first_feature_on_ties():
     assert err == pytest.approx(0.5)
     assert weak.feature_index == 0
     assert not subset_contains(weak.subset, 255)  # tied mass stays out
+
+
+def _weighted(samples, weights):
+    return [TrainSample(s.window, s.label, float(w)) for s, w in zip(samples, weights)]
+
+
+def _assert_matches_bincount_search(samples, features, cache):
+    weak, err = best_weak(samples, features, cache)
+    weights = np.array([s.weight for s in samples])
+    f, in_codes, want = bincount_weak_search(cache.codes, cache.positive, weights)
+    assert weak.feature_index == f
+    assert weak.subset == subset_from_codes(in_codes)
+    assert err.hex() == want.hex()
+
+
+def test_best_weak_is_bit_identical_to_bincount_search():
+    rng = np.random.default_rng(60)
+    pos, neg = _noise_samples(30, (7, 8), seed=61)
+    samples = pos + neg
+    features = enumerate_features(8, 7)
+    for _ in range(5):
+        weighted = _weighted(samples, rng.uniform(0.01, 1.0, len(samples)))
+        _assert_matches_bincount_search(weighted, features, build_cache(weighted, features))
+
+
+def test_best_weak_is_bit_identical_on_ties():
+    # identical windows under both labels and negative twins of positives:
+    # many bins tie or differ only in the last bit of their sums
+    rng = np.random.default_rng(62)
+    flat = Frame(6, 6, np.full((6, 6), 9, np.uint8))
+    pos, neg = _separable_samples(8, 8, seed=63)
+    samples = (
+        pos
+        + [TrainSample(flat, POSITIVE)] * 5
+        + neg
+        + [TrainSample(p.window, NEGATIVE) for p in pos]
+        + [TrainSample(flat, NEGATIVE)] * 5
+    )
+    features = enumerate_features(6, 6)
+    for weights in (
+        np.full(len(samples), 1.0 / len(samples)),
+        np.full(len(samples), 0.1),
+        rng.choice([0.1, 0.2, 0.3], len(samples)),
+    ):
+        weighted = _weighted(samples, weights)
+        _assert_matches_bincount_search(weighted, features, build_cache(weighted, features))
+
+
+def test_best_weak_carries_no_state_between_calls():
+    # one cache searched under a sequence of weights answers each call as a
+    # fresh cache and the reference do
+    rng = np.random.default_rng(64)
+    pos, neg = _noise_samples(20, (6, 7), seed=65)
+    samples = pos + neg
+    features = enumerate_features(7, 6)
+    cache = build_cache(samples, features)
+    for k in range(6):
+        # uniform first, then ever more uneven
+        weighted = _weighted(samples, rng.uniform(0.01, 1.0, len(samples)) ** (4 * k))
+        fresh = build_cache(weighted, features)
+        assert best_weak(weighted, features, cache) == best_weak(weighted, features, fresh)
+        _assert_matches_bincount_search(weighted, features, cache)
+
+
+def test_best_weak_reuses_its_tables_after_the_first_call():
+    pos, neg = _noise_samples(20, (12, 12), seed=66)
+    samples = pos + neg
+    features = enumerate_features(12, 12)
+    table_bytes = len(features) * 256 * 8
+    cache = build_cache(samples, features)
+    rng = np.random.default_rng(67)
+    tracemalloc.start()
+    try:
+        best_weak(samples, features, cache)
+        for _ in range(3):
+            weighted = _weighted(samples, rng.uniform(0.01, 1.0, len(samples)))
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            best_weak(weighted, features, cache)
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak - before < table_bytes
+    finally:
+        tracemalloc.stop()
 
 
 # --- boosting ---
