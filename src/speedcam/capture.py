@@ -113,6 +113,11 @@ class RecordStore:
     Appends serialize through an internal lock; readers get snapshot
     copies. Ids are monotone via the high-water mark file, which
     delete_all deliberately keeps.
+
+    A record counts once its log line ends in a newline. A last line
+    without one is what an interrupted append leaves: opening the store
+    ignores it, and the next append truncates it away before writing.
+    The mark already covers its id, so that id is skipped, not reused.
     """
 
     def __init__(self, directory):
@@ -125,6 +130,7 @@ class RecordStore:
         self._records: list[CaptureRecord] = []
         self._filenames: set[str] = set()
         self._hwm = 0
+        self._torn_at = None  # log length without its torn last line, if it has one
         try:
             self.images_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -139,7 +145,15 @@ class RecordStore:
             except ValueError:
                 raise StorageError(f"corrupt high-water mark {text!r}") from None
         if self._log_path.is_file():
-            lines = read_file(self._log_path, StorageError).splitlines()
+            data = read_file(self._log_path, StorageError, binary=True)
+            # a final line with no newline is an interrupted append: skip it,
+            # and cut it off before the next append
+            whole = data.rfind(b"\n") + 1
+            self._torn_at = whole if whole < len(data) else None
+            try:
+                lines = data[:whole].decode("utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                raise StorageError(f"cannot read {self._log_path}: {exc}") from None
             for lineno, line in enumerate(lines, 1):
                 if not line.strip():
                     continue
@@ -205,6 +219,9 @@ class RecordStore:
                 path = self._hwm_path
                 os.replace(self._hwm_tmp_path, path)
                 path = self._log_path
+                if self._torn_at is not None:
+                    os.truncate(path, self._torn_at)
+                    self._torn_at = None
                 with open(path, "a", encoding="utf-8") as fh:
                     fh.write("".join(_record_to_line(rec) for rec in assigned))
             except BaseException as exc:
@@ -243,6 +260,7 @@ class RecordStore:
                 for rec in self._records:
                     (self.images_dir / rec.picture_filename).unlink(missing_ok=True)
                 self._log_path.write_text("", encoding="utf-8")
+                self._torn_at = None
             except OSError as exc:
                 raise StorageError(f"cannot delete records in {self.directory}: {exc}") from None
             self._records.clear()

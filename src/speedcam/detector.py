@@ -90,7 +90,7 @@ def scale_schedule(
 
 
 def _flatten_model(model: CascadeModel):
-    """(wfeat, votes, sbound, sthr, vmax, wcheck), the arrays ``kernels.scan_numpy`` takes."""
+    """(wfeat, votes, sbound, sthr, vmax, wcheck), the model arrays of ``kernels.ScanPlan``."""
     weaks = [w for stage in model.stages for w in stage.weaks]
     votes = vote_table(weaks)
     sbound = np.cumsum([0] + [len(stage.weaks) for stage in model.stages], dtype=np.int64)
@@ -104,32 +104,86 @@ def _flatten_model(model: CascadeModel):
     )
 
 
-def scan(frame: Frame, model: CascadeModel, params: DetectorParams) -> list[Rect]:
-    """All window rects the cascade accepts, scale-major then row-major."""
-    schedule = scale_schedule(
-        frame.width, frame.height, model.window_w, model.window_h, params
-    )
-    sums = integral(frame)
-    flat = _flatten_model(model)
-    impl = kernels.scan_impl()
-    out = []
+@dataclass(frozen=True, eq=False)
+class ScanPlan(kernels.ScanPlan):
+    """A kernel scan plan, plus what it was built from and the window sizes.
+
+    scales are the scales of the schedule that have a lattice on this
+    frame size, and win_w[s] x win_h[s] is the window size at scale s.
+    """
+
+    model: CascadeModel
+    params: DetectorParams
+    size: tuple[int, int]
+    scales: tuple[float, ...]
+    win_w: np.ndarray
+    win_h: np.ndarray
+
+
+# one-entry memo: a sequence scans every frame with the same plan
+_last_plan = None
+
+
+def scan_plan(model: CascadeModel, params: DetectorParams, width: int, height: int) -> ScanPlan:
+    """The scan plan for a model, parameters and frame size.
+
+    The last plan is kept and handed out again while the model is the same
+    object and the parameters and size are equal.
+    """
+    global _last_plan
+    plan = _last_plan
+    if (
+        plan is None
+        or plan.model is not model
+        or plan.params != params
+        or plan.size != (width, height)
+    ):
+        plan = _last_plan = _build_plan(model, params, width, height)
+    return plan
+
+
+def _build_plan(model, params, width, height) -> ScanPlan:
+    schedule = scale_schedule(width, height, model.window_w, model.window_h, params)
+    scales, sizes, grids = [], [], []
     for scale in schedule:
         win_w = round_half_up(model.window_w * scale)
         win_h = round_half_up(model.window_h * scale)
         stride = max(params.stride_base, round_half_up(scale))
-        fx, fy, fbw, fbh = scaled_feature_arrays(model.features, scale)
+        grid = np.stack(scaled_feature_arrays(model.features, scale))
+        fx, fy, fbw, fbh = grid
         # independent rounding can push a scaled feature grid past the
         # scaled window edge; shrink the origin range to whichever is wider
         eff_w = max(win_w, int(np.max(fx + 3 * fbw, initial=0)))
         eff_h = max(win_h, int(np.max(fy + 3 * fbh, initial=0)))
-        nx = (frame.width - eff_w) // stride + 1
-        ny = (frame.height - eff_h) // stride + 1
+        nx = (width - eff_w) // stride + 1
+        ny = (height - eff_h) // stride + 1
         if nx < 1 or ny < 1:
             continue
-        iy, ix = np.nonzero(impl(sums, stride, nx, ny, fx, fy, fbw, fbh, *flat))
-        origins = zip((ix * stride).tolist(), (iy * stride).tolist())
-        out += [Rect(x, y, win_w, win_h) for x, y in origins]
-    return out
+        scales.append(scale)
+        sizes.append((stride, nx, ny, win_w, win_h))
+        grids.append(grid)
+    stride, nx, ny, win_w, win_h = np.array(sizes, dtype=np.int64).reshape(-1, 5).T
+    grid = np.array(grids, dtype=np.int64).reshape(-1, 4, len(model.features))
+    return ScanPlan(
+        stride, nx, ny, grid.transpose(1, 0, 2), *_flatten_model(model),
+        model=model, params=params, size=(width, height), scales=tuple(scales),
+        win_w=win_w, win_h=win_h,
+    )
+
+
+def scan(frame: Frame, model: CascadeModel, params: DetectorParams) -> list[Rect]:
+    """All window rects the cascade accepts, scale-major then row-major."""
+    plan = scan_plan(model, params, frame.width, frame.height)
+    idx = np.flatnonzero(kernels.scan_impl()(integral(frame), plan))
+    s, x, y = plan.origins(idx)
+    return [
+        Rect(*r)
+        for r in zip(x.tolist(), y.tolist(), plan.win_w[s].tolist(), plan.win_h[s].tolist())
+    ]
+
+
+# frontier-by-open-rect pairs compared at once; bounds grouping's temporaries
+GROUP_BLOCK_PAIRS = 1 << 18
 
 
 def group_rects(
@@ -139,11 +193,14 @@ def group_rects(
 
     Two rects are similar when each edge lies within group_eps of the
     pair's mean size. Similarity is closed transitively by a breadth-first
-    search that compares one rect with every rect not yet in a class, so
-    time is O(n^2) and memory O(n). Classes come out in order of their
-    smallest index. Each surviving class becomes one Detection at the
-    member-wise mean rect, sorted by descending area then ascending (y, x).
-    window_h, when given, anchors the reported scale; otherwise scale is 1.0.
+    search that expands a class by whole frontiers: each step compares the
+    frontier's rects with every rect not yet in a class, in blocks of at
+    most GROUP_BLOCK_PAIRS pairs (and at least one frontier rect), so
+    memory is O(GROUP_BLOCK_PAIRS + n) and time O(n^2). Classes come out
+    in order of their smallest index. Each surviving class becomes one
+    Detection at the member-wise mean rect, sorted by descending area then
+    ascending (y, x). window_h, when given, anchors the reported scale;
+    otherwise scale is 1.0.
     """
     r = np.array([(c.x, c.y, c.w, c.h) for c in cands], dtype=np.int64).reshape(-1, 4)
     x, y, w, h = r.T
@@ -155,20 +212,29 @@ def group_rects(
         if seen[start]:
             continue
         seen[start] = True
-        members = [start]
-        for i in members:  # members doubles as the search queue
-            dw = eps * (w[i] + w) / 2.0
-            dh = eps * (h[i] + h) / 2.0
-            near = np.flatnonzero(
-                ~seen
-                & (np.abs(x[i] - x) <= dw)
-                & (np.abs(x2[i] - x2) <= dw)
-                & (np.abs(y[i] - y) <= dh)
-                & (np.abs(y2[i] - y2) <= dh)
-            )
-            seen[near] = True
-            members.extend(near.tolist())
-        k = len(members)
+        members = frontier = np.array([start])
+        while frontier.size:
+            found = []
+            lo = 0
+            while lo < frontier.size:
+                open_ = np.flatnonzero(~seen)
+                rows = max(1, GROUP_BLOCK_PAIRS // max(open_.size, 1))
+                b = frontier[lo : lo + rows, None]
+                lo += rows
+                dw = eps * (w[b] + w[open_]) / 2.0
+                dh = eps * (h[b] + h[open_]) / 2.0
+                near = (
+                    (np.abs(x[b] - x[open_]) <= dw)
+                    & (np.abs(x2[b] - x2[open_]) <= dw)
+                    & (np.abs(y[b] - y[open_]) <= dh)
+                    & (np.abs(y2[b] - y2[open_]) <= dh)
+                )
+                near = open_[near.any(axis=0)]
+                seen[near] = True
+                found.append(near)
+            frontier = np.concatenate(found)
+            members = np.concatenate([members, frontier])
+        k = members.size
         if k < params.min_neighbors:
             continue
         # exact int64 sums, so each mean is the correctly rounded sum / k

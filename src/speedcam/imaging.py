@@ -157,8 +157,11 @@ def integral(frame: Frame) -> np.ndarray:
     so any rectangle sum takes four lookups.
     """
     sat = np.zeros((frame.height + 1, frame.width + 1), dtype=np.int64)
-    np.cumsum(frame.pixels, axis=0, dtype=np.int64, out=sat[1:, 1:])
-    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
+    body = sat[1:, 1:]
+    # widen first: a cumsum from uint8 into int64 casts through a buffer
+    body[...] = frame.pixels
+    np.cumsum(body, axis=0, out=body)
+    np.cumsum(body, axis=1, out=body)
     sat.setflags(write=False)
     return sat
 

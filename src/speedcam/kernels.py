@@ -1,9 +1,12 @@
 """Array kernels for pattern codes and the cascade window scan.
 
-The scan is vectorized numpy over a lattice of window origins, given as
-``(stride, nx, ny)``: the origins are (ix*stride, iy*stride) for ix < nx
-and iy < ny. Votes accumulate in weak-classifier order as float64, as in
-``mblbp.eval_window``, the scalar reference the tests compare against.
+The scan is vectorized numpy over the window-origin lattices of every
+scale at once, described by a ``ScanPlan`` that the detector builds once
+per model, parameters and frame size. Scale s scans the origins
+(ix*stride, iy*stride) for ix < nx and iy < ny, with its own stride,
+(nx, ny) and scaled feature geometry. Votes accumulate in weak-classifier
+order as float64, as in ``mblbp.eval_window``, the scalar reference the
+tests compare against.
 
 A window is rejected weak by weak, not only at stage ends. After a weak
 that can fail some window, a window is dropped when its bound is below the
@@ -16,20 +19,25 @@ stage end is the same check with no weaks left. Which weaks can fail any
 window is known from the model alone (``wcheck``), so the others get no
 check.
 
-Until a check drops an origin, a band of the lattice is read densely:
-each weak reads the 16 grid corners of every origin as one strided view
-of the prefix table (``_corner_view``), with no index array and no
-gather. After that, later weaks gather the corners of the survivors only,
-with ``codes_at``. The lattice runs in bands of whole rows, at most
-``SCAN_BAND_ORIGINS`` origins each, which bounds the block temporaries on
-large frames. The trainer's ``codes_stack`` reads its corners through the
-same view, over a stack of sample tables.
+Stage 0 runs per scale, over bands of whole rows of at most
+``SCAN_BAND_ORIGINS`` origins, which bounds the block temporaries on large
+frames. Until a check drops an origin, a band is read densely: each weak
+reads the 16 grid corners of every origin as one strided view of the
+prefix table (``_corner_view``), with no index array and no gather. After
+that, later weaks gather the corners of the survivors only, with
+``codes_at``. The stage-0 survivors of every scale, scale-major then
+row-major, then run the later stages together as (x, y, scale index),
+in chunks of at most ``SCAN_BAND_ORIGINS``: each weak is one ``codes_at``
+call whose block sizes come per survivor from the plan, not one call per
+scale. The result is one flat mask over all scales' lattices. The
+trainer's ``codes_stack`` reads its corners through the same view, over a
+stack of sample tables.
 
 The scan works on flattened model arrays so the hot loop never touches
 Python objects:
 
-* ``fx, fy, fbw, fbh``  per-feature block offsets and block size (already
-  scaled for the current window scale; see ``mblbp.scaled_feature_arrays``)
+* ``fx, fy, fbw, fbh``  per-feature block offsets and block size at one
+  scale (``mblbp.scaled_feature_arrays``); a plan stacks them over scales
 * ``wfeat``             feature index used by each weak classifier
 * ``votes``             (n_weaks, 256) float64 ``mblbp.vote_table``; votes[w, c]
   is weak w's vote for code c
@@ -38,6 +46,8 @@ Python objects:
 * ``vmax, wcheck``      each weak's largest vote, and whether the bound
   after it can fall below the stage threshold (``weak_checks``)
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,8 +71,8 @@ def selected_backend() -> str:
 
 
 def scan_impl():
-    """The scan callable ``detector.scan`` uses."""
-    return scan_numpy
+    """The scan callable ``detector.scan`` uses: ``scan_lattices``."""
+    return scan_lattices
 
 
 def _codes(corners: np.ndarray) -> np.ndarray:
@@ -76,23 +86,33 @@ def _codes(corners: np.ndarray) -> np.ndarray:
     return (ge * _BIT_WEIGHTS).sum(axis=0, dtype=np.uint8).reshape(blocks.shape[2:])
 
 
-def codes_at(sums: np.ndarray, x: np.ndarray, y: np.ndarray, bw: int, bh: int) -> np.ndarray:
-    """Pattern codes for one block geometry at many origins (vectorized).
+def codes_at(sums: np.ndarray, x: np.ndarray, y: np.ndarray, bw, bh) -> np.ndarray:
+    """Pattern codes of 3x3 block grids at many origins (vectorized).
 
-    sums is a prefix table; x and y are equal-length origin arrays.
-    Returns uint8 codes. All 16 corners of every grid come from one read
-    of the flattened table; a grid that leaves the table is a BoundsError.
+    sums is a prefix table; x and y are equal-length origin arrays. The
+    block size bw x bh is one for all grids, or arrays that broadcast
+    against x and y, one size per grid. Returns uint8 codes. All 16
+    corners of every grid come from one read of the flattened table; a
+    grid that leaves the table is a BoundsError.
     """
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     h1, w1 = sums.shape
     # the flat read wraps across rows, so every grid must lie in the table
     if x.size and (
-        min(x.min(), y.min()) < 0 or x.max() + 3 * bw >= w1 or y.max() + 3 * bh >= h1
+        min(x.min(), y.min()) < 0
+        or np.max(x + 3 * bw) >= w1
+        or np.max(y + 3 * bh) >= h1
     ):
-        raise BoundsError(f"a grid of {bw}x{bh} blocks leaves the {w1 - 1}x{h1 - 1} table")
-    offsets = (_GRID[:, None] * (bh * w1) + _GRID * bw)[:, :, None]
-    return _codes(sums.take(offsets + (y * w1 + x)))  # take reads the flattened table
+        bw, bh = np.broadcast_to(bw, x.shape), np.broadcast_to(bh, x.shape)
+        k = np.flatnonzero((x < 0) | (y < 0) | (x + 3 * bw >= w1) | (y + 3 * bh >= h1))[0]
+        raise BoundsError(
+            f"the grid of {bw[k]}x{bh[k]} blocks at ({x[k]}, {y[k]}) "
+            f"leaves the {w1 - 1}x{h1 - 1} table"
+        )
+    rows = np.multiply.outer(_GRID, np.atleast_1d(bh * w1)) + (y * w1 + x)  # (4, n)
+    cols = np.multiply.outer(_GRID, np.atleast_1d(bw))  # (4, 1 or n)
+    return _codes(sums.take(rows[:, None] + cols[None]))  # take reads the flattened table
 
 
 def _corner_view(sums, x0, y0, sx, sy, nx, ny, bw, bh) -> np.ndarray:
@@ -185,56 +205,141 @@ def weak_checks(votes, sbound, sthr):
     return vmax, wcheck
 
 
-def scan_numpy(sums, stride, nx, ny, fx, fy, fbw, fbh, wfeat, votes, sbound, sthr, vmax, wcheck):
-    """Cascade acceptance mask over an origin lattice, vectorized numpy path.
+@dataclass(frozen=True, eq=False)
+class ScanPlan:
+    """What the scan kernel reads besides the pixels, for every scale at once.
 
-    The origins are (ix*stride, iy*stride) for ix < nx and iy < ny.
-    Returns bool (ny, nx); True where every stage sum met its threshold.
-    The lattice runs in bands of whole rows, at most SCAN_BAND_ORIGINS
-    origins each (or one row). A band reads each weak through one corner
-    view until a check drops one of its origins; later weaks gather the
-    corners of the origins still alive with ``codes_at``.
+    Scale s scans the lattice of origins (ix*stride[s], iy*stride[s]) for
+    ix < nx[s] and iy < ny[s]; its windows take flat mask positions
+    start[s] .. start[s+1]-1, row-major. grid[:, s, f] is feature f's
+    (x, y, bw, bh) at scale s, so grid[0] .. grid[3] are the fx, fy, fbw,
+    fbh arrays of every scale stacked as (n_scales, n_features). The model
+    arrays follow the module docstring.
     """
-    mask = np.zeros((ny, nx), dtype=bool)
-    if mask.size == 0:
-        return mask
-    rows = max(1, SCAN_BAND_ORIGINS // nx)
-    for top in range(0, ny, rows):
-        band = mask[top : top + rows]  # a view: the band writes the mask
-        alive = None  # flat band indices of the survivors, once a check drops one
-        for si in range(sthr.size):
-            end = sbound[si + 1]
-            for wi in range(sbound[si], end):
-                f = wfeat[wi]
-                if alive is None:
-                    codes = _codes(_corner_view(
-                        sums, int(fx[f]), top * stride + int(fy[f]), stride, stride,
-                        nx, band.shape[0], int(fbw[f]), int(fbh[f]),
-                    ))
-                else:
-                    codes = codes_at(sums, ax + fx[f], ay + fy[f], int(fbw[f]), int(fbh[f]))
-                if wi == sbound[si]:
-                    acc = votes[wi][codes]
-                else:
-                    acc += votes[wi][codes]
-                if not wcheck[wi]:
+
+    stride: np.ndarray  # (n_scales,) int64
+    nx: np.ndarray
+    ny: np.ndarray
+    grid: np.ndarray  # (4, n_scales, n_features) int64
+    wfeat: np.ndarray
+    votes: np.ndarray
+    sbound: np.ndarray
+    sthr: np.ndarray
+    vmax: np.ndarray
+    wcheck: np.ndarray
+    start: np.ndarray = field(init=False)  # (n_scales + 1,) int64
+
+    def __post_init__(self):
+        object.__setattr__(self, "start", np.concatenate([[0], np.cumsum(self.nx * self.ny)]))
+
+    def origins(self, idx: np.ndarray):
+        """(scale index, x, y) of each flat mask position in idx."""
+        s = np.searchsorted(self.start, idx, side="right") - 1
+        iy, ix = np.divmod(idx - self.start[s], self.nx[s])
+        stride = self.stride[s]
+        return s, ix * stride, iy * stride
+
+
+def _pass(sums, plan, stages, s, x, y, band=None):
+    """Positions of the windows that pass every stage in ``stages``.
+
+    The windows are the origins (x, y), with scale index s: one index, or
+    an array of one per origin. The result indexes x and y, or is None
+    when every window passed. With band = (top, rows), x and y are None
+    and the windows are those rows of scale s's lattice, read through
+    corner views until a check drops one; the result then indexes the
+    band's origins row-major.
+    """
+    if band is not None:
+        top, rows = band
+        stride, nx = int(plan.stride[s]), int(plan.nx[s])
+    alive = None
+    for si in stages:
+        end = plan.sbound[si + 1]
+        for wi in range(plan.sbound[si], end):
+            f = plan.wfeat[wi]
+            if x is None:
+                fx, fy, fbw, fbh = plan.grid[:, s, f].tolist()
+                codes = _codes(_corner_view(
+                    sums, fx, top * stride + fy, stride, stride, nx, rows, fbw, fbh,
+                )).reshape(-1)
+            else:
+                fx, fy, fbw, fbh = plan.grid[:, s, f]
+                codes = codes_at(sums, x + fx, y + fy, fbw, fbh)
+            if wi == plan.sbound[si]:
+                acc = plan.votes[wi][codes]
+            else:
+                acc += plan.votes[wi][codes]
+            if not plan.wcheck[wi]:
+                continue
+            keep = _bound(acc, plan.vmax[wi + 1 : end]) >= plan.sthr[si]
+            if alive is None:
+                if keep.all():
                     continue
-                keep = _bound(acc, vmax[wi + 1 : end]) >= sthr[si]
-                if alive is None:
-                    if keep.all():
-                        continue
-                    alive = np.flatnonzero(keep)
-                else:
-                    alive = alive[keep]
-                acc = acc[keep]
+                alive = np.flatnonzero(keep)
+            else:
+                alive = alive[keep]
+            acc = acc[keep]
+            if x is None:  # leaving the dense read: the band survivors' origins
                 iy, ix = np.divmod(alive, nx)
-                ax, ay = ix * stride, (top + iy) * stride
-                if alive.size == 0:
-                    break
-            if alive is not None and alive.size == 0:
-                break
-        if alive is None:
-            band[...] = True
-        else:
-            band.reshape(-1)[alive] = True
+                x, y = ix * stride, (top + iy) * stride
+            else:
+                x, y = x[keep], y[keep]
+                if np.ndim(s):
+                    s = s[keep]
+            if alive.size == 0:
+                return alive
+    return alive
+
+
+def _later_stages(sums, plan, idx, mask):
+    """Run stages 1+ over the stage-0 survivors idx, any scales, and mark
+    those that pass in the flat mask; chunks of at most SCAN_BAND_ORIGINS."""
+    for lo in range(0, idx.size, SCAN_BAND_ORIGINS):
+        chunk = idx[lo : lo + SCAN_BAND_ORIGINS]
+        alive = _pass(sums, plan, range(1, plan.sthr.size), *plan.origins(chunk))
+        mask[chunk if alive is None else chunk[alive]] = True
+
+
+def scan_lattices(sums, plan: ScanPlan) -> np.ndarray:
+    """Cascade acceptance over every lattice of a plan, vectorized numpy.
+
+    Returns one flat bool mask over all scales' lattices (see ScanPlan);
+    True where every stage sum met its threshold. Stage 0 runs per scale
+    in bands of whole rows, at most SCAN_BAND_ORIGINS origins each (or one
+    row), and its survivors from every scale go on to the later stages
+    together.
+    """
+    mask = np.zeros(int(plan.start[-1]), dtype=bool)
+    pending, count = [], 0
+    for s in range(plan.stride.size):
+        nx, ny, first = int(plan.nx[s]), int(plan.ny[s]), int(plan.start[s])
+        if nx < 1:
+            continue  # no origins
+        rows = max(1, SCAN_BAND_ORIGINS // nx)
+        for top in range(0, ny, rows):
+            band = min(rows, ny - top)
+            alive = _pass(sums, plan, range(1), s, None, None, (top, band))
+            pending.append(first + top * nx + (np.arange(band * nx) if alive is None else alive))
+            count += pending[-1].size
+            if count >= SCAN_BAND_ORIGINS:
+                _later_stages(sums, plan, np.concatenate(pending), mask)
+                pending, count = [], 0
+    if count:
+        _later_stages(sums, plan, np.concatenate(pending), mask)
     return mask
+
+
+def scan_numpy(sums, stride, nx, ny, fx, fy, fbw, fbh, wfeat, votes, sbound, sthr, vmax, wcheck):
+    """Cascade acceptance mask over one origin lattice, as bool (ny, nx).
+
+    The origins are (ix*stride, iy*stride) for ix < nx and iy < ny; the
+    feature arrays are for that lattice's scale. A one-scale plan through
+    ``scan_lattices``.
+    """
+    plan = ScanPlan(
+        np.array([stride], dtype=np.int64), np.array([nx], dtype=np.int64),
+        np.array([ny], dtype=np.int64), np.stack([fx, fy, fbw, fbh])[:, None],
+        wfeat, votes, sbound, sthr, vmax, wcheck,
+    )
+    return scan_lattices(sums, plan).reshape(ny, nx)

@@ -240,6 +240,50 @@ def test_log_ignores_blank_lines(tmp_path):
     assert len(again.list_all()) == 5
 
 
+def _torn_store(tmp_path, cut):
+    """Five records, then the first `cut` bytes of a sixth line (cut < 0
+    counts from its end): an append interrupted after its high-water mark
+    reached 6. Returns the log path and the bytes of the five whole lines."""
+    store = _filled_store(tmp_path)
+    log = store.directory / "records.log"
+    whole = log.read_bytes()
+    other = RecordStore(tmp_path / "other")
+    other.append(make_record(9.5, "loc", "2016-09-26_23_59_59"), _img(9))
+    line = (other.directory / "records.log").read_bytes().replace(b'"id": 1', b'"id": 6')
+    assert line.endswith(b"\n") and line.count(b"\n") == 1
+    log.write_bytes(whole + line[:cut])
+    (store.directory / "hwm").write_text("6\n")
+    return log, whole
+
+
+@pytest.mark.parametrize("cut", [1, 40, -1], ids=["one-byte", "mid-line", "no-newline"])
+def test_torn_last_line_is_ignored_on_read(tmp_path, cut):
+    # no-newline: a whole record but for its newline, which still counts as torn
+    log, whole = _torn_store(tmp_path, cut)
+    torn = log.read_bytes()
+    store = RecordStore(tmp_path / "store")
+    assert [r.id for r in store.list_all()] == [1, 2, 3, 4, 5]
+    assert log.read_bytes() == torn  # reading changes nothing
+
+
+def test_torn_last_line_is_truncated_before_the_next_append(tmp_path):
+    log, whole = _torn_store(tmp_path, 40)
+    store = RecordStore(tmp_path / "store")
+    assert store.append(make_record(1.0, "loc", "2016-09-27_08_00_00"), _img()) == 7
+    data = log.read_bytes()
+    assert data.startswith(whole)
+    assert json.loads(data[len(whole):])["id"] == 7 and data.endswith(b"\n")
+    assert [r.id for r in RecordStore(tmp_path / "store").list_all()] == [1, 2, 3, 4, 5, 7]
+
+
+def test_delete_all_clears_a_torn_last_line(tmp_path):
+    log, _ = _torn_store(tmp_path, 40)
+    store = RecordStore(tmp_path / "store")
+    assert store.delete_all(confirm=True) == 5
+    assert store.append(make_record(1.0, "loc", TIMES[0]), _img()) == 7
+    assert [json.loads(line)["id"] for line in log.read_text().splitlines()] == [7]
+
+
 @pytest.mark.parametrize("name", ["records.log", "hwm"])
 def test_append_to_a_store_that_turned_unwritable_is_a_storage_error(tmp_path, name):
     store = RecordStore(tmp_path / "store")

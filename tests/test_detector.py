@@ -1,5 +1,7 @@
 """Scale ladder, sliding-window scan, grouping, and vehicle selection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,32 @@ def test_scan_survives_feature_grid_rounding_overshoot():
         assert r.x + 56 <= 80  # origin range respected the wider grid extent
 
 
+def test_scan_plan_is_built_once_per_model_params_and_size(patch_case, monkeypatch):
+    case = patch_case(n_frames=3)
+    built = []
+    build = detector._build_plan
+
+    def counted(*args):
+        built.append(args[2:])
+        return build(*args)
+
+    monkeypatch.setattr(detector, "_build_plan", counted)
+    monkeypatch.setattr(detector, "_last_plan", None)
+    for frame in case.frames:
+        detector.detect(frame, case.model, case.params)
+    assert built == [(640, 360)]
+    plan = detector.scan_plan(case.model, case.params, 640, 360)
+    equal = DetectorParams(**vars(case.params))
+    assert detector.scan_plan(case.model, equal, 640, 360) is plan
+    assert len(built) == 1
+    twin = CascadeModel(case.model.features, case.model.stages, 48, 24)
+    assert detector.scan_plan(twin, case.params, 640, 360) is not plan  # another object
+    assert detector.scan_plan(twin, case.params, 600, 360).size == (600, 360)
+    other = DetectorParams(**{**vars(case.params), "stride_base": 3})
+    assert detector.scan_plan(twin, other, 600, 360).params == other
+    assert len(built) == 4
+
+
 # --- grouping ---
 
 
@@ -257,6 +285,26 @@ def test_group_is_independent_of_input_order():
     for _ in range(5):
         shuffled = [rects[i] for i in rng.permutation(len(rects))]
         assert sorted(map(_det_key, group_rects(shuffled, params, window_h=24))) == want
+
+
+def test_group_memory_stays_within_blocks_of_the_frontier():
+    # 20k 32x16 rects with x in 0..12: each is similar to those within 6 px
+    # (eps 0.2 of 32), so rect 0 at x=0 reaches x <= 6 and the next frontier,
+    # about 10k rects, reaches the 9k rects beyond. Compared all at once that
+    # frontier would make about 1e8 pairs.
+    n = 20_000
+    xs = np.random.default_rng(12).integers(0, 13, n)
+    xs[0] = 0
+    rects = [Rect(int(x), 0, 32, 16) for x in xs]
+    tracemalloc.start()
+    try:
+        dets = group_rects(rects, DetectorParams(min_neighbors=1, group_eps=0.2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [d.neighbors for d in dets] == [n]
+    # the stated budget: one int64 per pair of 256 frontier rects and all n
+    assert peak <= 256 * n * 8, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_group_sorts_by_area_then_position():

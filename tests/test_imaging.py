@@ -85,6 +85,26 @@ def test_rect_sum_matches_naive_on_random_rects():
         assert imaging.rect_sum(ii, Rect(x, y, w, h)) == naive_rect_sum(px, x, y, w, h)
 
 
+def _python_prefix_sum(px):
+    """The (h+1, w+1) prefix table in plain Python integers."""
+    h, w = len(px), len(px[0]) if px else 0
+    table = [[0] * (w + 1) for _ in range(h + 1)]
+    for r in range(h):
+        for c in range(w):
+            table[r + 1][c + 1] = px[r][c] + table[r][c + 1] + table[r + 1][c] - table[r][c]
+    return table
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (19, 31), (40, 9)])
+def test_integral_matches_a_python_prefix_sum(shape):
+    h, w = shape
+    rng = np.random.default_rng(h * 100 + w)
+    for px in (rng.integers(0, 256, shape, np.uint8), np.full(shape, 255, np.uint8)):
+        ii = imaging.integral(Frame(w, h, px))
+        assert ii.dtype == np.int64 and not ii.flags.writeable
+        assert ii.tolist() == _python_prefix_sum(px.tolist())
+
+
 def test_rect_sum_bounds_errors():
     ii = imaging.integral(Frame(4, 4, np.ones((4, 4), np.uint8)))
     with pytest.raises(BoundsError):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from speedcam import imaging, kernels, mblbp, trainer
+from speedcam import detector, imaging, kernels, mblbp, trainer
 from speedcam.detector import _flatten_model
 from speedcam.errors import BoundsError
-from speedcam.imaging import Frame
+from speedcam.imaging import Frame, Rect, round_half_up
 
 
 def _random_model(rng, n_stages=2, n_weaks=3, window=(12, 9)):
@@ -144,6 +144,60 @@ def test_scan_numpy_matches_eval_window_at_every_origin():
     assert 0 < accepted < windows  # both outcomes are exercised
 
 
+def _brute_force_scan(frame, model, params):
+    """Accepted rects, scale by scale and row by row, from mblbp.eval_window
+    at every stride-lattice origin whose window and feature grids fit."""
+    ii = imaging.integral(frame)
+    width, height = frame.width, frame.height
+    out = []
+    ladder = detector.scale_schedule(width, height, model.window_w, model.window_h, params)
+    for scale in ladder:
+        win_w = round_half_up(model.window_w * scale)
+        win_h = round_half_up(model.window_h * scale)
+        stride = max(params.stride_base, round_half_up(scale))
+        for y in range(0, height, stride):
+            for x in range(0, width, stride):
+                grids = [mblbp.scaled_grid(f, (x, y), scale) for f in model.features]
+                fits = x + win_w <= width and y + win_h <= height and all(
+                    gx + 3 * bw <= width and gy + 3 * bh <= height for gx, gy, bw, bh in grids
+                )
+                if fits and mblbp.eval_window(ii, model, (x, y), scale):
+                    out.append(Rect(x, y, win_w, win_h))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+def test_scan_matches_eval_window_over_every_scale(monkeypatch, chunk):
+    if chunk is not None:  # later stages then run over several chunks
+        monkeypatch.setattr(kernels, "SCAN_BAND_ORIGINS", chunk)
+    rng = np.random.default_rng(31)
+    # a 12x9 window scanned at 1.3^k (6 scales) over 60x40 frames
+    params = detector.DetectorParams(min_size_fraction=0.225, scale_factor=1.3, stride_base=1)
+    overshoots = accepted = 0
+    sizes = set()
+    for trial in range(8):
+        model = _random_model(rng, n_stages=3, n_weaks=2)
+        # 3 + 3*3 fills the window's width; at scales 2.2 and 2.9 the rounded
+        # grid ends two pixels past the rounded window
+        features = (mblbp.MbLbpFeature(3, 0, 3, 2),) + model.features[1:]
+        model = mblbp.CascadeModel(features, model.stages, 12, 9)
+        px = rng.integers(0, 256, (40, 60), np.uint8)
+        frame = Frame(60, 40, px)
+        want = _brute_force_scan(frame, model, params)
+        assert detector.scan(frame, model, params) == want, f"trial {trial}"
+        accepted += len(want)
+        ladder = detector.scale_schedule(60, 40, 12, 9, params)
+        assert len(ladder) >= 3
+        overshoots += sum(
+            round_half_up(3 * s) + 3 * round_half_up(3 * s) > round_half_up(12 * s)
+            for s in ladder
+        )
+        sizes.update((r.w, r.h) for r in want)
+    assert overshoots > 0
+    assert len(sizes) >= 3  # accepted windows at several scales
+    assert accepted > 3 * 5  # with chunk 5, the survivors fill several chunks
+
+
 # leaves whose float64 sums depend on the order of addition
 _NASTY_LEAVES = (0.1, 0.2, 0.7, -0.1, -0.7, 1e16, -1e16)
 
@@ -251,8 +305,10 @@ def test_scan_numpy_bands_equal_one_band(monkeypatch, rows):
     monkeypatch.setattr(kernels, "codes_at", counted)
     banded = kernels.scan_numpy(ii, *lattice, *arrays, *flat)
     assert np.array_equal(banded, whole)
-    # stage 1 repeats stage 0: only bands with survivors reach it, once per band
-    assert gathered == [n for n in survivors if n]
+    # stage 1 repeats stage 0 and runs once over the survivors of every band,
+    # which fit one chunk of SCAN_BAND_ORIGINS
+    assert sum(survivors) <= rows * whole.shape[1]
+    assert gathered == [sum(survivors)]
 
 
 def _counted_scan(monkeypatch, ii, model):
@@ -365,7 +421,7 @@ def test_scan_numpy_rejects_a_lattice_one_pixel_past_the_table(axis):
 def test_scan_entry_points():
     # perfbench records selected_backend() and times the scan through scan_impl()
     assert kernels.selected_backend() == "numpy"
-    assert kernels.scan_impl() is kernels.scan_numpy
+    assert kernels.scan_impl() is kernels.scan_lattices
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.5, 2.5, 0.1])
