@@ -150,20 +150,31 @@ def save_pgm(frame: Frame) -> bytes:
     return header + frame.pixels.tobytes()
 
 
-def integral(frame: Frame) -> np.ndarray:
-    """The read-only (h+1, w+1) int64 prefix-sum table of a frame.
+def prefix_sums(pixels: np.ndarray) -> np.ndarray:
+    """Read-only int64 prefix sums over the two leading axes of pixels.
 
-    sums[r, c] is the sum of the pixels in rows [0, r) and columns [0, c),
-    so any rectangle sum takes four lookups.
+    pixels is a (h, w, *trailing) uint8 array; the table is shaped
+    (h+1, w+1, *trailing), and sums[r, c, ...] is the sum of pixels[:r, :c, ...],
+    so any rectangle sum takes four lookups. A stack of frames on the last
+    axis gives one table per frame, each equal to that frame's ``integral``.
     """
-    sat = np.zeros((frame.height + 1, frame.width + 1), dtype=np.int64)
+    h, w, *trailing = pixels.shape
+    sat = np.zeros((h + 1, w + 1, *trailing), dtype=np.int64)
     body = sat[1:, 1:]
     # widen first: a cumsum from uint8 into int64 casts through a buffer
-    body[...] = frame.pixels
+    body[...] = pixels
     np.cumsum(body, axis=0, out=body)
     np.cumsum(body, axis=1, out=body)
     sat.setflags(write=False)
     return sat
+
+
+def integral(frame: Frame) -> np.ndarray:
+    """The read-only (h+1, w+1) int64 prefix-sum table of a frame.
+
+    sums[r, c] is the sum of the pixels in rows [0, r) and columns [0, c).
+    """
+    return prefix_sums(frame.pixels)
 
 
 def rect_sum(s: np.ndarray, r: Rect) -> int:

@@ -31,7 +31,9 @@ in chunks of at most ``SCAN_BAND_ORIGINS``: each weak is one ``codes_at``
 call whose block sizes come per survivor from the plan, not one call per
 scale. The result is one flat mask over all scales' lattices. The
 trainer's ``codes_stack`` reads its corners through the same view, over a
-stack of sample tables.
+stack of sample tables on a trailing axis: the prefix table is
+(h+1, w+1, n_samples), so every loop of ``_codes`` runs over contiguous
+samples.
 
 The scan works on flattened model arrays so the hot loop never touches
 Python objects:
@@ -119,12 +121,13 @@ def _corner_view(sums, x0, y0, sx, sy, nx, ny, bw, bh) -> np.ndarray:
     """Read-only view of the 16 grid corners at every origin of a lattice.
 
     The origins are (x0 + i*sx, y0 + j*sy) for i < nx and j < ny, and each
-    holds a 3x3 grid of bw x bh blocks. sums is a prefix table, optionally
-    behind leading axes (a stack of samples); the view is shaped
-    (4, 4, *leading, ny, nx), the layout ``_codes`` takes. It reads raw
-    memory, so a grid that leaves the table is a BoundsError.
+    holds a 3x3 grid of bw x bh blocks. sums is a prefix table shaped
+    (h+1, w+1, *trailing), the trailing axes indexing independent tables
+    (a stack of samples); the view is shaped (4, 4, ny, nx, *trailing), the
+    layout ``_codes`` takes. It reads raw memory, so a grid that leaves the
+    table is a BoundsError.
     """
-    *_, h1, w1 = sums.shape
+    h1, w1 = sums.shape[:2]
     if (
         min(x0, y0) < 0
         or min(sx, sy, bw, bh) < 1
@@ -132,17 +135,17 @@ def _corner_view(sums, x0, y0, sx, sy, nx, ny, bw, bh) -> np.ndarray:
         or y0 + (ny - 1) * sy + 3 * bh >= h1
     ):
         raise BoundsError(f"a grid of {bw}x{bh} blocks leaves the {w1 - 1}x{h1 - 1} table")
-    *lead, r0, r1 = sums.strides
+    r0, r1, *trailing = sums.strides
     return np.lib.stride_tricks.as_strided(
-        sums[..., y0:, x0:],
-        shape=(4, 4, *sums.shape[:-2], ny, nx),
-        strides=(bh * r0, bw * r1, *lead, sy * r0, sx * r1),
+        sums[y0:, x0:],
+        shape=(4, 4, ny, nx, *sums.shape[2:]),
+        strides=(bh * r0, bw * r1, sy * r0, sx * r1, *trailing),
         writeable=False,
     )
 
 
 def codes_stack(
-    sums_stack: np.ndarray,
+    table: np.ndarray,
     fx: np.ndarray,
     fy: np.ndarray,
     fbw: np.ndarray,
@@ -150,28 +153,35 @@ def codes_stack(
 ) -> np.ndarray:
     """Codes for every (sample, feature) pair over a stack of prefix tables.
 
-    sums_stack is (n_samples, h+1, w+1); the feature arrays describe the
-    full feature set at unit scale. Returns (n_samples, n_features) uint8.
+    table is (h+1, w+1, n_samples), the samples on the last axis
+    (``imaging.prefix_sums`` of the stacked sample pixels); the feature
+    arrays describe the full feature set at unit scale. Returns a
+    C-contiguous (n_samples, n_features) uint8 array.
 
     Features sharing a block size share one code plane: the corners of
     every origin on the lattice spanned by that group's anchors are one
-    ``_corner_view`` of the stack, so each group costs one ``_codes`` call
-    and a gather of its features' columns.
+    ``_corner_view`` of the stack, so each group costs one ``_codes`` call,
+    whose every loop runs over the contiguous samples, and a gather of its
+    features' columns.
     """
-    out = np.empty((sums_stack.shape[0], fx.size), dtype=np.uint8)
-    sizes, group = np.unique(np.stack([fbw, fbh], axis=1), axis=0, return_inverse=True)
-    group = group.reshape(-1)  # numpy 2.0.0 returns it as a column
-    for g, (bw, bh) in enumerate(sizes):
-        sel = np.flatnonzero(group == g)
+    out = np.empty((table.shape[2], fx.size), dtype=np.uint8)
+    if not fx.size:
+        return out
+    # the features of each block size, in feature order: sort stably by
+    # (bw, bh) and cut where either changes
+    order = np.lexsort((fbh, fbw))
+    cuts = np.flatnonzero(np.diff(fbw[order]) | np.diff(fbh[order])) + 1
+    for sel in np.split(order, cuts):
+        bw, bh = int(fbw[sel[0]]), int(fbh[sel[0]])
         gx, gy = fx[sel], fy[sel]
         x0, y0 = int(gx.min()), int(gy.min())
+        dx, dy = gx - x0, gy - y0
         # anchor lattice step; 1 for a lone anchor keeps the arithmetic valid
-        sx = int(np.gcd.reduce(gx - x0)) or 1
-        sy = int(np.gcd.reduce(gy - y0)) or 1
-        nx = (int(gx.max()) - x0) // sx + 1
-        ny = (int(gy.max()) - y0) // sy + 1
-        corners = _corner_view(sums_stack, x0, y0, sx, sy, nx, ny, int(bw), int(bh))
-        out[:, sel] = _codes(corners)[:, (gy - y0) // sy, (gx - x0) // sx]
+        sx, sy = int(np.gcd.reduce(dx)) or 1, int(np.gcd.reduce(dy)) or 1
+        ix, iy = dx // sx, dy // sy
+        nx, ny = int(ix.max()) + 1, int(iy.max()) + 1
+        corners = _corner_view(table, x0, y0, sx, sy, nx, ny, bw, bh)
+        out[:, sel] = _codes(corners)[iy, ix].T
     return out
 
 

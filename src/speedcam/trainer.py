@@ -16,13 +16,12 @@ import numpy as np
 
 from speedcam import kernels
 from speedcam.errors import ConfigError
-from speedcam.imaging import Frame, integral
+from speedcam.imaging import Frame, prefix_sums
 from speedcam.mblbp import (
     CascadeModel,
     MbLbpFeature,
     Stage,
     WeakClassifier,
-    scaled_feature_arrays,
     subset_from_codes,
     subset_mask,
     vote_table,
@@ -31,12 +30,13 @@ from speedcam.mblbp import (
 POSITIVE = "positive"
 NEGATIVE = "negative"
 
-# ceiling on the feature table, a cache's codes and best_weak's search arrays
+# ceiling on the samples' prefix tables, the feature table, a cache's codes
+# and best_weak's search arrays
 CACHE_MAX_BYTES = 1 << 30
 
-# one enumerated MbLbpFeature (112 B on 64-bit CPython, by tracemalloc) plus
-# its four int64 entries in scaled_feature_arrays
-FEATURE_BYTES = 144
+# one enumerated MbLbpFeature with its list slot (112 B on 64-bit CPython, by
+# tracemalloc) plus its four int64 entries in build_cache's feature grid
+FEATURE_BYTES = 112 + 4 * 8
 
 # per sample and feature: the uint8 code, best_weak's int64 bin key and its
 # float64 weight plane
@@ -118,14 +118,24 @@ def feature_count(window_w: int, window_h: int, stride: int = 1) -> int:
     return anchors(window_w) * anchors(window_h)
 
 
-def _check_cache_size(n_samples: int, n_features: int) -> None:
-    """Refuse with ConfigError when a cache would exceed CACHE_MAX_BYTES."""
+def _cache_bytes(n_samples: int, n_features: int, window_w: int, window_h: int) -> int:
+    """Bytes a cache over these samples and features holds at most, with the
+    search arrays ``best_weak`` derives from it."""
+    # build_cache's int64 (h+1, w+1) prefix table of each sample, and the
+    # uint8 pixel stack it is summed from
+    per_sample = (window_h + 1) * (window_w + 1) * 8 + window_h * window_w
     per_feature = n_samples * SAMPLE_FEATURE_BYTES + FEATURE_BYTES + SEARCH_FEATURE_BYTES
-    need = n_features * per_feature
+    return n_samples * per_sample + n_features * per_feature
+
+
+def _check_cache_size(n_samples: int, n_features: int, window_w: int, window_h: int) -> None:
+    """Refuse with ConfigError when a cache would exceed CACHE_MAX_BYTES."""
+    need = _cache_bytes(n_samples, n_features, window_w, window_h)
     if need > CACHE_MAX_BYTES:
         raise ConfigError(
             f"{n_samples} samples x {n_features} features need "
-            f"{need / 2**30:.1f} GiB of features, codes and weak-search tables, over "
+            f"{need / 2**30:.1f} GiB of prefix tables, features, codes and "
+            f"weak-search tables, over "
             f"the {CACHE_MAX_BYTES / 2**30:g} GiB limit; use a larger --feature-stride"
         )
 
@@ -162,11 +172,12 @@ class _WeakSearch:
 
 
 def build_cache(samples: list[TrainSample], features: list[MbLbpFeature]) -> SampleCache:
-    """Stack integral tables and evaluate every feature on every sample.
+    """Stack the sample pixels, take their prefix sums and evaluate every
+    feature on every sample.
 
-    Refuses with ConfigError, before allocating, when the feature table,
-    the codes and the arrays ``best_weak`` derives from them would exceed
-    ``CACHE_MAX_BYTES`` (``_check_cache_size``).
+    Refuses with ConfigError, before allocating, when the prefix tables, the
+    feature table, the codes and the arrays ``best_weak`` derives from them
+    would exceed ``CACHE_MAX_BYTES`` (``_check_cache_size``).
     """
     if not samples:
         raise ConfigError("no samples")
@@ -179,9 +190,14 @@ def build_cache(samples: list[TrainSample], features: list[MbLbpFeature]) -> Sam
                 f"sample window {s.window.width}x{s.window.height} "
                 f"does not match {w0}x{h0}"
             )
-    _check_cache_size(len(samples), len(features))
-    sums = np.stack([integral(s.window) for s in samples])
-    codes = kernels.codes_stack(sums, *scaled_feature_arrays(features, 1.0))
+    _check_cache_size(len(samples), len(features), w0, h0)
+    table = prefix_sums(np.stack([s.window.pixels for s in samples], axis=-1))
+    # MbLbpFeature refuses blocks under 1 and negative anchors, so its unit-scale
+    # grid is its own fields
+    grid = np.fromiter(
+        ((f.bx, f.by, f.bw, f.bh) for f in features), np.dtype((np.int64, 4)), len(features)
+    )
+    codes = kernels.codes_stack(table, *grid.T)
     positive = np.array([s.label == POSITIVE for s in samples], dtype=bool)
     return SampleCache(codes=codes, positive=positive)
 
@@ -237,7 +253,7 @@ def boost_round(
     weights = np.array([s.weight for s in samples], dtype=np.float64)
     weights = weights * np.where(correct, math.exp(-alpha), math.exp(alpha))
     weights /= weights.sum()
-    updated = [replace(s, weight=float(w)) for s, w in zip(samples, weights)]
+    updated = [TrainSample(s.window, s.label, w) for s, w in zip(samples, weights.tolist())]
     return alpha, updated
 
 
@@ -266,7 +282,7 @@ def train_stage(
     if cache is None:
         cache = build_cache(samples, features)
     n = len(samples)
-    current = [replace(s, weight=1.0 / n) for s in samples]
+    current = [TrainSample(s.window, s.label, 1.0 / n) for s in samples]
     folded = []
     for _ in range(config.max_weaks_per_stage):
         weak, err = best_weak(current, features, cache)
@@ -297,7 +313,10 @@ def train_cascade(
     window_h = pos[0].window.height
     # refuse an oversized cache before the feature table is built
     _check_cache_size(
-        len(pos) + len(neg), feature_count(window_w, window_h, config.feature_stride)
+        len(pos) + len(neg),
+        feature_count(window_w, window_h, config.feature_stride),
+        window_w,
+        window_h,
     )
     features = enumerate_features(window_w, window_h, config.feature_stride)
 

@@ -105,6 +105,20 @@ def test_integral_matches_a_python_prefix_sum(shape):
         assert ii.tolist() == _python_prefix_sum(px.tolist())
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (19, 31)])
+def test_prefix_sums_of_a_stack_equal_each_frames_integral(shape):
+    # random frames, an all-255 frame and an all-0 frame on the last axis
+    h, w = shape
+    rng = np.random.default_rng(h * 100 + w + 1)
+    frames = [Frame(w, h, rng.integers(0, 256, shape, np.uint8)) for _ in range(3)]
+    frames += [Frame(w, h, np.full(shape, 255, np.uint8)), Frame(w, h, np.zeros(shape, np.uint8))]
+    table = imaging.prefix_sums(np.stack([f.pixels for f in frames], axis=-1))
+    assert table.shape == (h + 1, w + 1, len(frames))
+    assert table.dtype == np.int64 and not table.flags.writeable
+    for k, frame in enumerate(frames):
+        assert table[..., k].tobytes() == imaging.integral(frame).tobytes()
+
+
 def test_rect_sum_bounds_errors():
     ii = imaging.integral(Frame(4, 4, np.ones((4, 4), np.uint8)))
     with pytest.raises(BoundsError):

@@ -77,7 +77,7 @@ def test_codes_at_rejects_grids_outside_the_table(shift):
 def test_codes_stack_matches_scalar_path():
     rng = np.random.default_rng(3)
     frames = [Frame(12, 9, rng.integers(0, 256, (9, 12), np.uint8)) for _ in range(6)]
-    sums = np.stack([imaging.integral(f) for f in frames])
+    sums = np.stack([imaging.integral(f) for f in frames], axis=-1)
     feats = [
         mblbp.MbLbpFeature(0, 0, 4, 3),
         mblbp.MbLbpFeature(1, 0, 2, 2),
@@ -95,7 +95,7 @@ def test_codes_stack_groups_interleaved_block_sizes():
     # block-size plane must gather its features back into their own columns
     rng = np.random.default_rng(5)
     frames = [Frame(13, 10, rng.integers(0, 256, (10, 13), np.uint8)) for _ in range(4)]
-    sums = np.stack([imaging.integral(f) for f in frames])
+    sums = np.stack([imaging.integral(f) for f in frames], axis=-1)
     feats = trainer.enumerate_features(13, 10, 2)
     feats = [feats[k] for k in rng.permutation(len(feats))]
     sizes = [(f.bw, f.bh) for f in feats]
@@ -107,12 +107,33 @@ def test_codes_stack_groups_interleaved_block_sizes():
         assert got[i].tolist() == [mblbp.lbp_code(ii, f, (0, 0)) for f in feats]
 
 
-@pytest.mark.parametrize("feat", [(1, 0, 2, 1), (0, 0, 1, 4), (-1, 0, 1, 1)])
+@pytest.mark.parametrize(
+    "feat",
+    # (x, y, bw, bh) one pixel past the right, bottom and left edge, each
+    # with the grid one pixel back, which fits
+    [((1, 0, 2, 1), (0, 0, 2, 1)), ((0, 0, 1, 4), (0, 0, 1, 3)), ((-1, 0, 1, 1), (0, 0, 1, 1))],
+)
 def test_codes_stack_rejects_grids_outside_the_table(feat):
-    sums = np.zeros((2, 10, 7), np.int64)  # 6x9 windows
-    arrays = [np.array([v], np.int64) for v in feat]
+    sums = np.zeros((10, 7, 2), np.int64)  # two 6x9 windows
+    outside, fits = ([np.array([v], np.int64) for v in grid] for grid in feat)
+    assert kernels.codes_stack(sums, *fits).shape == (2, 1)
     with pytest.raises(BoundsError):
-        kernels.codes_stack(sums, *arrays)
+        kernels.codes_stack(sums, *outside)
+
+
+def test_codes_stack_matches_lbp_code_on_an_odd_window_at_stride_one():
+    # every block size and anchor of a 17x11 window, so the planes range
+    # from 15x9 origins (1x1 blocks) to one origin (5x3 blocks)
+    rng = np.random.default_rng(8)
+    frames = [Frame(17, 11, rng.integers(0, 256, (11, 17), np.uint8)) for _ in range(5)]
+    feats = trainer.enumerate_features(17, 11)
+    assert {(f.bw, f.bh) for f in feats} == {(bw, bh) for bw in range(1, 6) for bh in range(1, 4)}
+    table = imaging.prefix_sums(np.stack([f.pixels for f in frames], axis=-1))
+    got = kernels.codes_stack(table, *mblbp.scaled_feature_arrays(feats, 1.0))
+    assert got.shape == (5, len(feats)) and got.dtype == np.uint8 and got.flags.c_contiguous
+    for i, frame in enumerate(frames):
+        ii = imaging.integral(frame)
+        assert got[i].tolist() == [mblbp.lbp_code(ii, f, (0, 0)) for f in feats]
 
 
 def test_scan_numpy_matches_eval_window_at_every_origin():
@@ -396,11 +417,12 @@ def test_codes_bit_order_matches_lbp_code_on_every_layout():
     view = kernels._corner_view(sums, 0, 0, 3, 3, 3, 3, 1, 1)
     assert view.shape == (4, 4, 3, 3)
     assert kernels._codes(view).reshape(-1).tolist() == want
-    # stack (4, 4, s, ny, nx): the grids over three samples of one row of three
+    # stack (4, 4, ny, nx, s): the grids over three samples of one column of
+    # three, sample s holding grids s, s+3 and s+6 top to bottom
     stack = np.stack([
-        imaging.integral(Frame(9, 3, np.hstack(grids[s * 3 : s * 3 + 3]))) for s in range(3)
-    ])
-    view = kernels._corner_view(stack, 0, 0, 3, 3, 3, 1, 1, 1)
+        imaging.integral(Frame(3, 9, np.vstack(grids[s::3]))) for s in range(3)
+    ], axis=-1)
+    view = kernels._corner_view(stack, 0, 0, 3, 3, 1, 3, 1, 1)
     assert view.shape == (4, 4, 3, 1, 3)
     assert kernels._codes(view).reshape(-1).tolist() == want
 

@@ -175,6 +175,61 @@ def test_train_cascade_counts_the_weak_search_tables(monkeypatch):
         train_cascade(pos, neg, TrainConfig(1, 1))
 
 
+def _window_heavy_samples():
+    """1000 positive and 1000 negative 60x60 samples over four random frames.
+
+    At feature_stride 60 a 60x60 window has 400 features, one per block
+    size, so their codes, feature table and search tables need 16.1 MB,
+    while the samples' prefix tables and pixel stack need 66.7 MB.
+    """
+    rng = np.random.default_rng(68)
+    frames = [Frame(60, 60, rng.integers(0, 256, (60, 60), np.uint8)) for _ in range(4)]
+    pos = [TrainSample(frames[k % 4], POSITIVE) for k in range(1000)]
+    neg = [TrainSample(frames[k % 4], NEGATIVE) for k in range(1000)]
+    return pos, neg
+
+
+def test_cache_size_counts_each_samples_prefix_table(monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerate_features called before the size check")
+
+    pos, neg = _window_heavy_samples()
+    features = enumerate_features(60, 60, 60)
+    assert len(features) == 400
+    monkeypatch.setattr(trainer, "CACHE_MAX_BYTES", 32 << 20)
+    # a count without the per-sample tables would admit these samples
+    per_feature = 2000 * trainer.SAMPLE_FEATURE_BYTES + trainer.FEATURE_BYTES
+    assert 400 * (per_feature + trainer.SEARCH_FEATURE_BYTES) < trainer.CACHE_MAX_BYTES
+    refusal = r"2000 samples x 400 features need 0\.1 GiB of prefix tables"
+    with pytest.raises(ConfigError, match=refusal):
+        build_cache(pos + neg, features)
+    monkeypatch.setattr(trainer, "enumerate_features", enumerate_nothing)
+    with pytest.raises(ConfigError, match=refusal):
+        train_cascade(pos, neg, TrainConfig(1, 1, feature_stride=60))
+
+
+def test_build_cache_peak_stays_within_the_counted_bytes():
+    pos, neg = _window_heavy_samples()
+    features = enumerate_features(60, 60, 60)
+    tables = 2000 * 61 * 61 * 8
+    tracemalloc.start()
+    try:
+        build_cache(pos + neg, features)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the prefix tables are most of the peak, and the count covers them
+    assert tables < peak <= trainer._cache_bytes(2000, 400, 60, 60)
+
+
+def test_build_cache_codes_are_c_ordered_samples_by_features():
+    pos, neg = _noise_samples(3, (11, 17), seed=69)
+    features = enumerate_features(17, 11)
+    cache = build_cache(pos + neg, features)
+    assert cache.codes.shape == (6, len(features))
+    assert cache.codes.dtype == np.uint8 and cache.codes.flags.c_contiguous
+
+
 def test_build_cache_rejects_mixed_window_sizes():
     a = TrainSample(Frame(6, 6, np.zeros((6, 6), np.uint8)), POSITIVE)
     b = TrainSample(Frame(9, 6, np.zeros((6, 9), np.uint8)), NEGATIVE)
@@ -380,6 +435,35 @@ def test_boost_round_alpha_and_mass_balance():
     new_w = np.array([s.weight for s in updated])
     assert new_w.sum() == pytest.approx(1.0, abs=1e-12)
     assert new_w[~correct].sum() == pytest.approx(0.5, abs=1e-12)
+
+
+def _boost_round_with_replace(samples, weak, error, cache):
+    """The boosting update with the samples rebuilt by dataclasses.replace."""
+    eps = min(max(error, trainer.EPSILON_CLAMP), 1.0 - trainer.EPSILON_CLAMP)
+    alpha = 0.5 * math.log((1.0 - eps) / eps)
+    predicted_pos = mblbp.subset_mask(weak.subset)[cache.codes[:, weak.feature_index]]
+    correct = predicted_pos == cache.positive
+    weights = np.array([s.weight for s in samples], dtype=np.float64)
+    weights = weights * np.where(correct, math.exp(-alpha), math.exp(alpha))
+    weights /= weights.sum()
+    return alpha, [replace(s, weight=float(w)) for s, w in zip(samples, weights)]
+
+
+def test_boost_round_weights_equal_a_replace_reference():
+    pos, neg = _noise_samples(15, (12, 12), seed=70)
+    features = enumerate_features(12, 12, 2)
+    cache = build_cache(pos + neg, features)
+    rng = np.random.default_rng(71)
+    for _ in range(5):
+        samples = _weighted(pos + neg, rng.uniform(0.01, 1.0, len(cache.positive)))
+        weak, err = best_weak(samples, features, cache)
+        alpha, updated = boost_round(samples, weak, err, cache)
+        want_alpha, want = _boost_round_with_replace(samples, weak, err, cache)
+        assert alpha == want_alpha
+        assert [type(s.weight) for s in updated] == [float] * len(want)
+        got_w = np.array([s.weight for s in updated]).tobytes()
+        assert got_w == np.array([s.weight for s in want]).tobytes()
+        assert all(u.window is s.window and u.label == s.label for u, s in zip(updated, samples))
 
 
 def test_boost_round_specific_alpha_value():
