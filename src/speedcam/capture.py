@@ -22,6 +22,7 @@ from speedcam.errors import (
     FormatError,
     RefusedError,
     StorageError,
+    parse_json,
     read_file,
 )
 
@@ -157,10 +158,12 @@ class RecordStore:
             for lineno, line in enumerate(lines, 1):
                 if not line.strip():
                     continue
+                where = f"{self._log_path}:{lineno}: bad record"
+                doc = parse_json(line, StorageError, where)
                 try:
-                    rec = _record_from_doc(json.loads(line))
-                except (json.JSONDecodeError, KeyError, ValueError, FormatError) as exc:
-                    raise StorageError(f"{LOG_NAME}:{lineno}: bad record: {exc}") from None
+                    rec = _record_from_doc(doc)
+                except (KeyError, TypeError, ValueError, OverflowError, FormatError) as exc:
+                    raise StorageError(f"{where}: {exc}") from None
                 self._records.append(rec)
                 self._filenames.add(rec.picture_filename)
             self._records.sort(key=lambda r: r.id)

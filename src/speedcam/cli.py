@@ -20,6 +20,7 @@ from speedcam.errors import (
     FormatError,
     SpeedcamError,
     StorageError,
+    parse_json,
     read_file,
     write_file,
 )
@@ -160,11 +161,8 @@ def _calibration_from_args(args, frame_dims) -> speedpipe.CalibrationProfile:
     if (args.px_per_m is None) == (args.calibration is None):
         raise ConfigError("provide exactly one of --px-per-m or --calibration")
     if args.calibration is not None:
-        path = args.calibration
-        try:
-            doc = json.loads(read_file(path, ConfigError, "calibration"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"calibration {path} is not JSON: {exc}") from None
+        text = read_file(args.calibration, ConfigError, "calibration")
+        doc = parse_json(text, ConfigError, f"calibration {args.calibration}")
         return speedpipe.calibration_from_doc(doc)
     if not (math.isfinite(args.px_per_m) and args.px_per_m > 0):
         raise ConfigError(f"--px-per-m must be finite and positive, got {args.px_per_m}")
@@ -507,8 +505,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv):
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             overrides[dest] = json.loads(value)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON: the value is a string
             overrides[dest] = value
+        except RecursionError:
+            raise ConfigError(f"{path}:{lineno}: value of {key!r} is nested too deep") from None
     for target in parser.config_targets:
         target.set_defaults(**overrides)
 

@@ -14,7 +14,7 @@ import numpy as np
 from speedcam import kernels
 from speedcam.errors import ConfigError, NoScaleError
 from speedcam.imaging import Frame, Rect, integral, round_half_up
-from speedcam.mblbp import CascadeModel, scaled_feature_arrays, vote_table
+from speedcam.mblbp import CascadeModel, scaled_feature_arrays
 
 
 @dataclass(frozen=True)
@@ -89,33 +89,14 @@ def scale_schedule(
     return scales
 
 
-def _flatten_model(model: CascadeModel):
-    """(wfeat, votes, sbound, sthr, vmax, wcheck), the model arrays of ``kernels.ScanPlan``."""
-    weaks = [w for stage in model.stages for w in stage.weaks]
-    votes = vote_table(weaks)
-    sbound = np.cumsum([0] + [len(stage.weaks) for stage in model.stages], dtype=np.int64)
-    sthr = np.array([stage.threshold for stage in model.stages], dtype=np.float64)
-    return (
-        np.array([w.feature_index for w in weaks], dtype=np.int64),
-        votes,
-        sbound,
-        sthr,
-        *kernels.weak_checks(votes, sbound, sthr),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class ScanPlan(kernels.ScanPlan):
-    """A kernel scan plan, plus what it was built from and the window sizes.
-
-    scales are the scales of the schedule that have a lattice on this
-    frame size, and win_w[s] x win_h[s] is the window size at scale s.
+    """A kernel scan plan, plus the parameters and frame size it was built
+    for and the window sizes: win_w[s] x win_h[s] at scale index s.
     """
 
-    model: CascadeModel
     params: DetectorParams
     size: tuple[int, int]
-    scales: tuple[float, ...]
     win_w: np.ndarray
     win_h: np.ndarray
 
@@ -143,31 +124,23 @@ def scan_plan(model: CascadeModel, params: DetectorParams, width: int, height: i
 
 
 def _build_plan(model, params, width, height) -> ScanPlan:
-    schedule = scale_schedule(width, height, model.window_w, model.window_h, params)
-    scales, sizes, grids = [], [], []
-    for scale in schedule:
-        win_w = round_half_up(model.window_w * scale)
-        win_h = round_half_up(model.window_h * scale)
-        stride = max(params.stride_base, round_half_up(scale))
-        grid = np.stack(scaled_feature_arrays(model.features, scale))
-        fx, fy, fbw, fbh = grid
-        # independent rounding can push a scaled feature grid past the
-        # scaled window edge; shrink the origin range to whichever is wider
-        eff_w = max(win_w, int(np.max(fx + 3 * fbw, initial=0)))
-        eff_h = max(win_h, int(np.max(fy + 3 * fbh, initial=0)))
-        nx = (width - eff_w) // stride + 1
-        ny = (height - eff_h) // stride + 1
-        if nx < 1 or ny < 1:
-            continue
-        scales.append(scale)
-        sizes.append((stride, nx, ny, win_w, win_h))
-        grids.append(grid)
-    stride, nx, ny, win_w, win_h = np.array(sizes, dtype=np.int64).reshape(-1, 5).T
-    grid = np.array(grids, dtype=np.int64).reshape(-1, 4, len(model.features))
+    """The plan over the scales of the schedule that have a lattice on this
+    frame size. ``np.floor(x + 0.5)`` is ``round_half_up`` of the same
+    float64 products, element by element."""
+    scales = np.array(scale_schedule(width, height, model.window_w, model.window_h, params))
+    win_w = np.floor(model.window_w * scales + 0.5).astype(np.int64)
+    win_h = np.floor(model.window_h * scales + 0.5).astype(np.int64)
+    stride = np.maximum(params.stride_base, np.floor(scales + 0.5).astype(np.int64))
+    grid = np.stack(scaled_feature_arrays(model.features, scales))  # (4, n_scales, nf)
+    fx, fy, fbw, fbh = grid
+    # independent rounding can push a scaled feature grid past the scaled
+    # window edge; shrink the origin range to whichever is wider
+    nx = (width - np.maximum(win_w, np.max(fx + 3 * fbw, axis=1, initial=0))) // stride + 1
+    ny = (height - np.maximum(win_h, np.max(fy + 3 * fbh, axis=1, initial=0))) // stride + 1
+    fits = (nx >= 1) & (ny >= 1)
     return ScanPlan(
-        stride, nx, ny, grid.transpose(1, 0, 2), *_flatten_model(model),
-        model=model, params=params, size=(width, height), scales=tuple(scales),
-        win_w=win_w, win_h=win_h,
+        model, stride[fits], nx[fits], ny[fits], grid[:, fits],
+        params=params, size=(width, height), win_w=win_w[fits], win_h=win_h[fits],
     )
 
 

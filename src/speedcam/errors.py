@@ -2,10 +2,12 @@
 
 Everything raised on bad input or bad state derives from SpeedcamError so
 the CLI can map domain failures to a single exit code. ``read_file`` is the
-one reader for files that come from outside the program, and ``write_file``
-the one writer of files at paths given from outside.
+one reader for files that come from outside the program, ``parse_json`` the
+one parser of JSON documents from outside, and ``write_file`` the one writer
+of files at paths given from outside.
 """
 
+import json
 from pathlib import Path
 
 
@@ -86,6 +88,19 @@ def read_file(path, error: type[SpeedcamError], what: str = "", binary: bool = F
         return Path(path).read_bytes() if binary else Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what + ' ' if what else ''}{path}: {exc}") from None
+
+
+def parse_json(data, error: type[SpeedcamError], what: str):
+    """The JSON document in data, text or UTF-8 bytes.
+
+    Data that is not UTF-8 or not JSON, an integer past the digit limit
+    (all ``ValueError``) and nesting too deep to parse (``RecursionError``)
+    raise ``error`` naming ``what``.
+    """
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what}: not valid JSON: {exc}") from None
 
 
 def write_file(path, data, error: type[SpeedcamError], what: str = "") -> None:

@@ -35,18 +35,19 @@ stack of sample tables on a trailing axis: the prefix table is
 (h+1, w+1, n_samples), so every loop of ``_codes`` runs over contiguous
 samples.
 
-The scan works on flattened model arrays so the hot loop never touches
-Python objects:
+A ``ScanPlan`` is built from the model and the lattices alone: it derives
+the flattened model arrays the hot loop reads, once, so that they always
+agree with the model's votes and the loop never touches Python objects:
 
-* ``fx, fy, fbw, fbh``  per-feature block offsets and block size at one
-  scale (``mblbp.scaled_feature_arrays``); a plan stacks them over scales
+* ``grid``              per-feature block offsets and block size, (x, y,
+  bw, bh), of every scale (``mblbp.scaled_feature_arrays``)
 * ``wfeat``             feature index used by each weak classifier
 * ``votes``             (n_weaks, 256) float64 ``mblbp.vote_table``; votes[w, c]
   is weak w's vote for code c
 * ``sbound``            stage boundaries into the weak arrays (len n_stages+1)
 * ``sthr``              per-stage acceptance thresholds
 * ``vmax, wcheck``      each weak's largest vote, and whether the bound
-  after it can fall below the stage threshold (``weak_checks``)
+  after it can fall below the stage threshold
 """
 
 from dataclasses import dataclass, field
@@ -54,6 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from speedcam.errors import BoundsError
+from speedcam.mblbp import CascadeModel, vote_table
 
 # bit weight of each block of the row-major 3x3 grid: TL=bit7, then
 # clockwise to L=bit0; the center weighs 0
@@ -65,6 +67,14 @@ _GRID = np.arange(4)
 # origins per scan band: a 640x360 frame at stride 2 is one band, and the
 # (3, 3, rows, nx) int64 block temporaries of a band stay near 5 MB each
 SCAN_BAND_ORIGINS = 1 << 16
+
+# bytes ``_codes`` holds per grid at its peak: the (3, 3) int64 block sums,
+# their bool comparison, the weighted uint8 bits and the code
+CODE_TEMP_BYTES = 9 * 8 + 9 + 9 + 1
+
+# ceiling on the ``_codes`` temporaries of ``codes_stack``: each block-size
+# plane runs in chunks of samples that stay within it
+CODES_STACK_BYTES = 16 << 20
 
 
 def selected_backend() -> str:
@@ -162,7 +172,8 @@ def codes_stack(
     every origin on the lattice spanned by that group's anchors are one
     ``_corner_view`` of the stack, so each group costs one ``_codes`` call,
     whose every loop runs over the contiguous samples, and a gather of its
-    features' columns.
+    features' columns. A plane runs in chunks of samples whose temporaries
+    stay within ``CODES_STACK_BYTES`` (one sample at least).
     """
     out = np.empty((table.shape[2], fx.size), dtype=np.uint8)
     if not fx.size:
@@ -181,7 +192,9 @@ def codes_stack(
         ix, iy = dx // sx, dy // sy
         nx, ny = int(ix.max()) + 1, int(iy.max()) + 1
         corners = _corner_view(table, x0, y0, sx, sy, nx, ny, bw, bh)
-        out[:, sel] = _codes(corners)[iy, ix].T
+        step = max(1, CODES_STACK_BYTES // (nx * ny * CODE_TEMP_BYTES))
+        for lo in range(0, out.shape[0], step):
+            out[lo : lo + step, sel] = _codes(corners[..., lo : lo + step])[iy, ix].T
     return out
 
 
@@ -197,24 +210,6 @@ def _bound(acc, tail):
     return acc
 
 
-def weak_checks(votes, sbound, sthr):
-    """(vmax, wcheck) for ``scan_numpy``, from the flattened model.
-
-    vmax is each weak's largest vote. wcheck[k] is False when no window can
-    fail the bound after weak k: the stage's sequential sum of smallest
-    votes through weak k, bounded over the weaks after it, still reaches
-    the stage threshold.
-    """
-    vmin, vmax = votes.min(axis=1), votes.max(axis=1)
-    wcheck = np.zeros(vmax.size, dtype=bool)
-    for si, thr in enumerate(sthr):
-        lo = 0.0
-        for k in range(sbound[si], sbound[si + 1]):
-            lo += vmin[k]
-            wcheck[k] = _bound(lo, vmax[k + 1 : sbound[si + 1]]) < thr
-    return vmax, wcheck
-
-
 @dataclass(frozen=True, eq=False)
 class ScanPlan:
     """What the scan kernel reads besides the pixels, for every scale at once.
@@ -224,23 +219,45 @@ class ScanPlan:
     start[s] .. start[s+1]-1, row-major. grid[:, s, f] is feature f's
     (x, y, bw, bh) at scale s, so grid[0] .. grid[3] are the fx, fy, fbw,
     fbh arrays of every scale stacked as (n_scales, n_features). The model
-    arrays follow the module docstring.
+    arrays, which follow the module docstring, are derived from model.
     """
 
+    model: CascadeModel
     stride: np.ndarray  # (n_scales,) int64
     nx: np.ndarray
     ny: np.ndarray
     grid: np.ndarray  # (4, n_scales, n_features) int64
-    wfeat: np.ndarray
-    votes: np.ndarray
-    sbound: np.ndarray
-    sthr: np.ndarray
-    vmax: np.ndarray
-    wcheck: np.ndarray
+    wfeat: np.ndarray = field(init=False)
+    votes: np.ndarray = field(init=False)
+    sbound: np.ndarray = field(init=False)
+    sthr: np.ndarray = field(init=False)
+    vmax: np.ndarray = field(init=False)
+    wcheck: np.ndarray = field(init=False)
     start: np.ndarray = field(init=False)  # (n_scales + 1,) int64
 
     def __post_init__(self):
-        object.__setattr__(self, "start", np.concatenate([[0], np.cumsum(self.nx * self.ny)]))
+        stages = self.model.stages
+        weaks = [w for stage in stages for w in stage.weaks]
+        votes = vote_table(weaks)
+        sbound = np.cumsum([0] + [len(stage.weaks) for stage in stages], dtype=np.int64)
+        sthr = np.array([stage.threshold for stage in stages], dtype=np.float64)
+        vmin, vmax = votes.min(axis=1), votes.max(axis=1)
+        # wcheck[k] is False when no window can fail the bound after weak k:
+        # the stage's sequential sum of smallest votes through weak k,
+        # bounded over the weaks after it, still reaches the stage threshold
+        wcheck = np.zeros(vmax.size, dtype=bool)
+        for si, thr in enumerate(sthr):
+            lo = 0.0
+            for k in range(sbound[si], sbound[si + 1]):
+                lo += vmin[k]
+                wcheck[k] = _bound(lo, vmax[k + 1 : sbound[si + 1]]) < thr
+        derived = dict(
+            wfeat=np.array([w.feature_index for w in weaks], dtype=np.int64),
+            votes=votes, sbound=sbound, sthr=sthr, vmax=vmax, wcheck=wcheck,
+            start=np.concatenate([[0], np.cumsum(self.nx * self.ny)]),
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def origins(self, idx: np.ndarray):
         """(scale index, x, y) of each flat mask position in idx."""
@@ -339,17 +356,3 @@ def scan_lattices(sums, plan: ScanPlan) -> np.ndarray:
         _later_stages(sums, plan, np.concatenate(pending), mask)
     return mask
 
-
-def scan_numpy(sums, stride, nx, ny, fx, fy, fbw, fbh, wfeat, votes, sbound, sthr, vmax, wcheck):
-    """Cascade acceptance mask over one origin lattice, as bool (ny, nx).
-
-    The origins are (ix*stride, iy*stride) for ix < nx and iy < ny; the
-    feature arrays are for that lattice's scale. A one-scale plan through
-    ``scan_lattices``.
-    """
-    plan = ScanPlan(
-        np.array([stride], dtype=np.int64), np.array([nx], dtype=np.int64),
-        np.array([ny], dtype=np.int64), np.stack([fx, fy, fbw, fbh])[:, None],
-        wfeat, votes, sbound, sthr, vmax, wcheck,
-    )
-    return scan_lattices(sums, plan).reshape(ny, nx)

@@ -23,6 +23,7 @@ from speedcam.errors import (
     FormatError,
     ModelReferenceError,
     UnsupportedModelError,
+    parse_json,
 )
 from speedcam.imaging import Rect, rect_sum, round_half_up
 
@@ -166,17 +167,19 @@ def scaled_grid(f: MbLbpFeature, origin, scale: float):
     return x, y, bw, bh
 
 
-def scaled_feature_arrays(features, scale: float):
+def scaled_feature_arrays(features, scale):
     """(fx, fy, fbw, fbh) int64 arrays placing a feature table at a scale.
 
     Entry i is scaled_grid(features[i], (0, 0), scale), the array form the
-    kernels take.
+    kernels take: the same float64 products, rounded half up. scale may be
+    an array of scales; each array is then (n_scales, n_features).
     """
-    grid = np.array(
-        [scaled_grid(f, (0, 0), scale) for f in features], dtype=np.int64
-    ).reshape(-1, 4)
-    fx, fy, fbw, fbh = grid.T.copy()
-    return fx, fy, fbw, fbh
+    table = np.fromiter(
+        ((f.bx, f.by, f.bw, f.bh) for f in features), np.dtype((np.int64, 4)), len(features)
+    )
+    scales = np.expand_dims(np.asarray(scale, dtype=np.float64), -1)
+    fx, fy, fbw, fbh = (np.floor(col * scales + 0.5).astype(np.int64) for col in table.T)
+    return fx, fy, np.maximum(fbw, 1), np.maximum(fbh, 1)
 
 
 def lbp_code(ii: np.ndarray, f: MbLbpFeature, origin, scale: float = 1.0) -> int:
@@ -273,11 +276,7 @@ def _require(doc, key, kind, where):
 
 def load_model(text: str) -> CascadeModel:
     """Parse the canonical JSON model document."""
-    try:
-        doc = json.loads(text)
-    # ValueError also covers integers past the digit limit; RecursionError deep nesting
-    except (ValueError, RecursionError) as exc:
-        raise FormatError(f"model document is not valid JSON: {exc}") from None
+    doc = parse_json(text, FormatError, "model document")
     if not isinstance(doc, dict):
         raise FormatError("model document must be a JSON object")
 

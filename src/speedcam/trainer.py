@@ -22,6 +22,7 @@ from speedcam.mblbp import (
     MbLbpFeature,
     Stage,
     WeakClassifier,
+    scaled_feature_arrays,
     subset_from_codes,
     subset_mask,
     vote_table,
@@ -35,7 +36,8 @@ NEGATIVE = "negative"
 CACHE_MAX_BYTES = 1 << 30
 
 # one enumerated MbLbpFeature with its list slot (112 B on 64-bit CPython, by
-# tracemalloc) plus its four int64 entries in build_cache's feature grid
+# tracemalloc) plus its four int64 entries in the scaled_feature_arrays
+# build_cache places the features with
 FEATURE_BYTES = 112 + 4 * 8
 
 # per sample and feature: the uint8 code, best_weak's int64 bin key and its
@@ -125,7 +127,8 @@ def _cache_bytes(n_samples: int, n_features: int, window_w: int, window_h: int) 
     # uint8 pixel stack it is summed from
     per_sample = (window_h + 1) * (window_w + 1) * 8 + window_h * window_w
     per_feature = n_samples * SAMPLE_FEATURE_BYTES + FEATURE_BYTES + SEARCH_FEATURE_BYTES
-    return n_samples * per_sample + n_features * per_feature
+    # codes_stack's code-plane temporaries, held within one fixed budget
+    return n_samples * per_sample + n_features * per_feature + kernels.CODES_STACK_BYTES
 
 
 def _check_cache_size(n_samples: int, n_features: int, window_w: int, window_h: int) -> None:
@@ -192,12 +195,7 @@ def build_cache(samples: list[TrainSample], features: list[MbLbpFeature]) -> Sam
             )
     _check_cache_size(len(samples), len(features), w0, h0)
     table = prefix_sums(np.stack([s.window.pixels for s in samples], axis=-1))
-    # MbLbpFeature refuses blocks under 1 and negative anchors, so its unit-scale
-    # grid is its own fields
-    grid = np.fromiter(
-        ((f.bx, f.by, f.bw, f.bh) for f in features), np.dtype((np.int64, 4)), len(features)
-    )
-    codes = kernels.codes_stack(table, *grid.T)
+    codes = kernels.codes_stack(table, *scaled_feature_arrays(features, 1.0))
     positive = np.array([s.label == POSITIVE for s in samples], dtype=bool)
     return SampleCache(codes=codes, positive=positive)
 

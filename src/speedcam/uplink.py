@@ -26,6 +26,7 @@ from speedcam.errors import (
     ProtocolError,
     StorageError,
     TransportError,
+    parse_json,
 )
 
 DEFAULT_MAX_BYTES = 4 * 1024 * 1024  # the classic server-side ceiling
@@ -165,10 +166,10 @@ def post_upload(
         raise TransportError(f"cannot reach {url}: {exc.reason}") from None
     except (OSError, http.client.HTTPException) as exc:  # a stalled or broken reply
         raise TransportError(f"no reply from {url}: {exc!r}") from None
+    doc = parse_json(raw, ProtocolError, "malformed upload response")
     try:
-        doc = json.loads(raw.decode("utf-8"))
         return UploadResponse(message=str(doc["message"]), received=int(doc["received"]))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ProtocolError(f"malformed upload response: {exc}") from None
 
 
@@ -260,7 +261,7 @@ class _IngestHandler(BaseHTTPRequestHandler):
             return
         body = self.rfile.read(length)
         try:
-            doc = json.loads(body.decode("utf-8"))
+            doc = parse_json(body, FormatError, "payload")
             items = _parse_payload_records(doc)
             ids = self.server.store.append_batch(items)
         except (ValueError, FormatError, DecodeError) as exc:

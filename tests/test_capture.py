@@ -218,10 +218,15 @@ def test_corrupt_log_field_is_an_error(tmp_path):
     store.append(make_record(1.0, "loc", TIMES[0]), _img())
     log = store.directory / "records.log"
     doc = json.loads(log.read_text())
-    del doc["capture_time"]
-    log.write_text(json.dumps(doc) + "\n")
-    with pytest.raises(StorageError):
-        RecordStore(tmp_path / "store")
+    # a missing field, a record that is not an object, a speed past float range
+    for bad in [
+        {k: v for k, v in doc.items() if k != "capture_time"},
+        [doc],
+        dict(doc, vehicle_speed=10**400),
+    ]:
+        log.write_text(json.dumps(bad) + "\n")
+        with pytest.raises(StorageError, match="records.log:1: bad record"):
+            RecordStore(tmp_path / "store")
 
 
 def test_corrupt_hwm_is_an_error(tmp_path):

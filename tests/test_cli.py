@@ -145,6 +145,7 @@ def test_unreadable_model_or_config_is_an_error(workflow, capsys, tmp_path, flag
 def _unreadable_input(case, root, workflow):
     """argv for one unreadable input, and the path the error must name."""
     bad = b"\xff\xfe not utf-8\n"
+    deep = b"[" * 200_000  # nesting past the recursion limit
     seq_args = ["--frames", str(workflow.seq), "--model", str(workflow.model)]
     if case in ("manifest-detect", "manifest-speed"):
         seq = root / "seq"
@@ -154,11 +155,15 @@ def _unreadable_input(case, root, workflow):
         command = case.split("-")[1]
         argv = [command, "--frames", str(seq), "--model", str(workflow.model)]
         return argv + (["--px-per-m", "10"] if command == "speed" else []), path
-    if case == "records-log":
+    if case.startswith("records-log"):
         path = root / "store" / capture.LOG_NAME
         path.parent.mkdir()
-        path.write_bytes(bad)
+        path.write_bytes(deep + b"\n" if case == "records-log-deep" else bad)
         return ["records", "list", "--store", str(path.parent)], path
+    if case == "config-deep":
+        path = root / "speedcam.cfg"
+        path.write_bytes(b"min-neighbors = " + deep + b"\n")
+        return ["--config", str(path), "detect", *seq_args], path
     if case == "train-sample-directory":
         pos, neg = root / "pos", root / "neg"
         path = pos / "sub.pgm"
@@ -176,6 +181,8 @@ def _unreadable_input(case, root, workflow):
         path = root / "cal.json"
         if case == "calibration-not-json":
             path.write_text("{\"pxPerM\": ", encoding="utf-8")
+        elif case == "calibration-deep":
+            path.write_bytes(deep)
         return ["speed", *seq_args, "--calibration", str(path)], path
     path = root / "cascade.xml"
     if case == "cascade-non-utf8":
@@ -189,8 +196,11 @@ def _unreadable_input(case, root, workflow):
         "manifest-detect",
         "manifest-speed",
         "records-log",
+        "records-log-deep",
+        "config-deep",
         "calibration-missing",
         "calibration-not-json",
+        "calibration-deep",
         "cascade-missing",
         "cascade-non-utf8",
         "train-sample-directory",
@@ -800,6 +810,18 @@ def test_config_file_rejects_malformed_lines(capsys, tmp_path):
     )
     assert rc == 1
     assert "key=value" in capsys.readouterr().err
+
+
+def test_config_integer_past_the_digit_limit_is_kept_as_a_string(capsys, tmp_path):
+    # json refuses it with a ValueError, so it reaches the flag as text,
+    # which the flag's own type then refuses
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("width = " + "1" * 5000 + "\n")
+    argv = ["--config", str(cfg), "synth", "--out", str(tmp_path / "x")]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--patch", "0", "0", "3", "3"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
 
 
 def test_detect_without_manifest_or_fps_is_a_domain_error(workflow, capsys, tmp_path):

@@ -4,9 +4,20 @@ import numpy as np
 import pytest
 
 from speedcam import detector, imaging, kernels, mblbp, trainer
-from speedcam.detector import _flatten_model
 from speedcam.errors import BoundsError
 from speedcam.imaging import Frame, Rect, round_half_up
+
+
+def _lattice_plan(model, stride, nx, ny, scale=1.0):
+    """A one-lattice scan plan: origins (ix*stride, iy*stride), ix < nx, iy < ny."""
+    grid = np.stack(mblbp.scaled_feature_arrays(model.features, scale))[:, None]
+    lattice = (np.array([v], np.int64) for v in (stride, nx, ny))
+    return kernels.ScanPlan(model, *lattice, grid)
+
+
+def _scan_lattice(ii, model, stride, nx, ny, scale=1.0):
+    """Acceptance mask of one lattice as bool (ny, nx), through scan_lattices."""
+    return kernels.scan_lattices(ii, _lattice_plan(model, stride, nx, ny, scale)).reshape(ny, nx)
 
 
 def _random_model(rng, n_stages=2, n_weaks=3, window=(12, 9)):
@@ -136,7 +147,7 @@ def test_codes_stack_matches_lbp_code_on_an_odd_window_at_stride_one():
         assert got[i].tolist() == [mblbp.lbp_code(ii, f, (0, 0)) for f in feats]
 
 
-def test_scan_numpy_matches_eval_window_at_every_origin():
+def test_scan_lattices_matches_eval_window_at_every_origin():
     rng = np.random.default_rng(4)
     accepted = windows = 0
     # 72x48 frames at strides 1-3, then frames one origin wide (nx == 1) or
@@ -156,7 +167,7 @@ def test_scan_numpy_matches_eval_window_at_every_origin():
         nx = (width - eff_w) // stride + 1
         ny = (height - eff_h) // stride + 1
         assert (nx == 1, ny == 1) == (thin == "x", thin == "y")
-        got = kernels.scan_numpy(ii, stride, nx, ny, fx, fy, fbw, fbh, *_flatten_model(model))
+        got = _scan_lattice(ii, model, stride, nx, ny, scale)
         xs, ys = range(0, nx * stride, stride), range(0, ny * stride, stride)
         want = np.array([[mblbp.eval_window(ii, model, (x, y), scale) for x in xs] for y in ys])
         assert np.array_equal(got, want), f"trial {trial} (scale {scale}, stride {stride})"
@@ -219,6 +230,44 @@ def test_scan_matches_eval_window_over_every_scale(monkeypatch, chunk):
     assert accepted > 3 * 5  # with chunk 5, the survivors fill several chunks
 
 
+
+@pytest.mark.parametrize(
+    "size",
+    # at the largest scale of 36x26, 1.3^4, the 12x9 window is 34x26 and
+    # fits the frame, but a rounded feature grid reaches row 27
+    [(60, 40), (36, 26)],
+    ids=["every-scale", "largest-has-no-lattice"],
+)
+def test_build_plan_geometry_equals_a_per_scale_recomputation(size):
+    width, height = size
+    rng = np.random.default_rng(32)
+    params = detector.DetectorParams(min_size_fraction=0.225 * 40 / height, scale_factor=1.3)
+    model = _random_model(rng, n_stages=1, n_weaks=2)
+    # grids that end past the rounded window at scales 1.69, 2.2 and 2.9
+    model = mblbp.CascadeModel(
+        (mblbp.MbLbpFeature(3, 0, 3, 2),) + model.features[1:], model.stages, 12, 9
+    )
+    want = []
+    for scale in detector.scale_schedule(width, height, 12, 9, params):
+        win_w, win_h = round_half_up(12 * scale), round_half_up(9 * scale)
+        stride = max(params.stride_base, round_half_up(scale))
+        grid = [mblbp.scaled_grid(f, (0, 0), scale) for f in model.features]
+        eff_w = max([win_w] + [x + 3 * bw for x, _, bw, _ in grid])
+        eff_h = max([win_h] + [y + 3 * bh for _, y, _, bh in grid])
+        nx, ny = (width - eff_w) // stride + 1, (height - eff_h) // stride + 1
+        if nx >= 1 and ny >= 1:
+            want.append((stride, nx, ny, win_w, win_h, grid))
+    plan = detector._build_plan(model, params, width, height)
+    got = list(zip(
+        plan.stride.tolist(), plan.nx.tolist(), plan.ny.tolist(),
+        plan.win_w.tolist(), plan.win_h.tolist(),
+        [list(map(tuple, g)) for g in plan.grid.transpose(1, 2, 0).tolist()],
+    ))
+    assert got == want
+    n_scales = len(detector.scale_schedule(width, height, 12, 9, params))
+    assert len(want) == (n_scales if width == 60 else n_scales - 1)
+
+
 # leaves whose float64 sums depend on the order of addition
 _NASTY_LEAVES = (0.1, 0.2, 0.7, -0.1, -0.7, 1e16, -1e16)
 
@@ -260,7 +309,7 @@ def _tie_model(rng, frame_code):
     return mblbp.CascadeModel(tuple(features), tuple(stages), w, h)
 
 
-def test_scan_numpy_rejection_is_exact_on_nonassociative_leaves_and_ties():
+def test_scan_lattices_rejection_is_exact_on_nonassociative_leaves_and_ties():
     rng = np.random.default_rng(14)
     stride, width, height = 2, 20, 15
     nx, ny = (width - 12) // stride + 1, (height - 9) // stride + 1
@@ -271,8 +320,7 @@ def test_scan_numpy_rejection_is_exact_on_nonassociative_leaves_and_ties():
         px = rng.integers(0, 256, (height, width), np.uint8) if noisy else flat
         ii = imaging.integral(Frame(width, height, px))
         model = _tie_model(rng, frame_code=255)  # a flat grid's code
-        arrays = mblbp.scaled_feature_arrays(model.features, 1.0)
-        got = kernels.scan_numpy(ii, stride, nx, ny, *arrays, *_flatten_model(model))
+        got = _scan_lattice(ii, model, stride, nx, ny)
         xs, ys = range(0, nx * stride, stride), range(0, ny * stride, stride)
         want = np.array([[mblbp.eval_window(ii, model, (x, y)) for x in xs] for y in ys])
         assert np.array_equal(got, want), f"trial {trial}"
@@ -306,12 +354,10 @@ def _patch_lattice():
 
 
 @pytest.mark.parametrize("rows", [1, 3, 5])
-def test_scan_numpy_bands_equal_one_band(monkeypatch, rows):
+def test_scan_lattices_bands_equal_one_band(monkeypatch, rows):
     ii, model = _patch_scan_case()
-    arrays = mblbp.scaled_feature_arrays(model.features, 1.0)
     lattice = _patch_lattice()
-    flat = _flatten_model(model)
-    whole = kernels.scan_numpy(ii, *lattice, *arrays, *flat)
+    whole = _scan_lattice(ii, model, *lattice)
     assert whole[10, 15]  # origin (30, 20)
     survivors = [int(whole[top : top + rows].sum()) for top in range(0, whole.shape[0], rows)]
     assert 0 in survivors  # the flat rows above the patch make empty bands
@@ -324,7 +370,7 @@ def test_scan_numpy_bands_equal_one_band(monkeypatch, rows):
         return codes_at(sums, x, *rest)
 
     monkeypatch.setattr(kernels, "codes_at", counted)
-    banded = kernels.scan_numpy(ii, *lattice, *arrays, *flat)
+    banded = _scan_lattice(ii, model, *lattice)
     assert np.array_equal(banded, whole)
     # stage 1 repeats stage 0 and runs once over the survivors of every band,
     # which fit one chunk of SCAN_BAND_ORIGINS
@@ -333,7 +379,7 @@ def test_scan_numpy_bands_equal_one_band(monkeypatch, rows):
 
 
 def _counted_scan(monkeypatch, ii, model):
-    """scan_numpy over the patch lattice, with the origins of each codes_at call."""
+    """scan_lattices over the patch lattice, with the origins of each codes_at call."""
     calls = []
     codes_at = kernels.codes_at
 
@@ -342,11 +388,10 @@ def _counted_scan(monkeypatch, ii, model):
         return codes_at(sums, x, y, bw, bh)
 
     monkeypatch.setattr(kernels, "codes_at", counted)
-    arrays = mblbp.scaled_feature_arrays(model.features, 1.0)
-    return kernels.scan_numpy(ii, *_patch_lattice(), *arrays, *_flatten_model(model)), calls
+    return _scan_lattice(ii, model, *_patch_lattice()), calls
 
 
-def test_scan_numpy_scores_later_weaks_on_survivors_only(monkeypatch):
+def test_scan_lattices_scores_later_weaks_on_survivors_only(monkeypatch):
     ii, model = _patch_scan_case()
     first = model.stages[0].weaks[0]
     # weak 0's leaf_out leaves weak 1 unable to reach 2.0, so its misses drop
@@ -370,7 +415,7 @@ def test_scan_numpy_scores_later_weaks_on_survivors_only(monkeypatch):
     assert sorted(zip((ix * stride).tolist(), (iy * stride).tolist())) == sorted(hits)
 
 
-def test_scan_numpy_reads_a_stage_densely_until_a_check_drops_an_origin(monkeypatch):
+def test_scan_lattices_reads_a_stage_densely_until_a_check_drops_an_origin(monkeypatch):
     ii, model = _patch_scan_case()
     feats = (model.features[0], mblbp.MbLbpFeature(2, 0, 3, 2), mblbp.MbLbpFeature(0, 2, 2, 1))
     weaks = tuple(
@@ -379,7 +424,7 @@ def test_scan_numpy_reads_a_stage_densely_until_a_check_drops_an_origin(monkeypa
     # bounds after weaks 0 and 1 are at least -1 + 2 and -2 + 1, so only
     # the stage end, where a window with three misses sums to -3, can fail
     model = mblbp.CascadeModel(feats, (mblbp.Stage(-2.0, weaks),), 20, 10)
-    assert _flatten_model(model)[-1].tolist() == [False, False, True]
+    assert _lattice_plan(model, *_patch_lattice()).wcheck.tolist() == [False, False, True]
     got, calls = _counted_scan(monkeypatch, ii, model)
     stride, nx, ny = _patch_lattice()
     xs, ys = range(0, nx * stride, stride), range(0, ny * stride, stride)
@@ -428,16 +473,15 @@ def test_codes_bit_order_matches_lbp_code_on_every_layout():
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
-def test_scan_numpy_rejects_a_lattice_one_pixel_past_the_table(axis):
+def test_scan_lattices_rejects_a_lattice_one_pixel_past_the_table(axis):
     ii, model = _patch_scan_case()
-    arrays = mblbp.scaled_feature_arrays(model.features, 1.0)
     stride, nx, ny = _patch_lattice()
     if axis == "x":
         nx += 1  # the last grid ends at column 61 of 60
     else:
         ny += 1  # the last grid ends at row 41 of 40
     with pytest.raises(BoundsError):
-        kernels.scan_numpy(ii, stride, nx, ny, *arrays, *_flatten_model(model))
+        _scan_lattice(ii, model, stride, nx, ny)
 
 
 def test_scan_entry_points():
@@ -460,3 +504,9 @@ def test_scaled_feature_arrays_match_scaled_grid(scale):
     assert got == [mblbp.scaled_grid(f, (0, 0), scale) for f in feats]
     if scale == 0.1:
         assert min(arrays[2]) == min(arrays[3]) == 1  # blocks floor at 1 pixel
+    # the four scales as one array: row k places the features at scales[k]
+    scales = [1.0, 1.5, 2.5, 0.1]
+    stacked = mblbp.scaled_feature_arrays(feats, np.array(scales))
+    assert all(a.dtype == np.int64 and a.shape == (4, len(feats)) for a in stacked)
+    row = scales.index(scale)
+    assert list(zip(*(a[row].tolist() for a in stacked))) == got

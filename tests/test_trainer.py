@@ -222,6 +222,23 @@ def test_build_cache_peak_stays_within_the_counted_bytes():
     assert tables < peak <= trainer._cache_bytes(2000, 400, 60, 60)
 
 
+@pytest.mark.parametrize("size", [6, 9])
+def test_build_cache_peak_counts_the_code_plane_temporaries(size):
+    # 20,000 small samples at stride 1: the 1x1-block plane's _codes
+    # temporaries (about 90 bytes per origin and sample) outweigh the tables
+    rng = np.random.default_rng(70)
+    frames = [Frame(size, size, rng.integers(0, 256, (size, size), np.uint8)) for _ in range(4)]
+    samples = [TrainSample(frames[k % 4], POSITIVE) for k in range(20_000)]
+    features = enumerate_features(size, size)
+    tracemalloc.start()
+    try:
+        build_cache(samples, features)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= trainer._cache_bytes(20_000, len(features), size, size)
+
+
 def test_build_cache_codes_are_c_ordered_samples_by_features():
     pos, neg = _noise_samples(3, (11, 17), seed=69)
     features = enumerate_features(17, 11)

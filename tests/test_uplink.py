@@ -236,6 +236,7 @@ def test_malformed_json_and_bad_time_are_400(tmp_path):
     with serve_ingest("127.0.0.1:0", tmp_path / "server") as server:
         for body in [
             b"{nope",
+            b"[" * 200_000,  # nesting past the recursion limit
             b'{"records": 5}',
             json.dumps(
                 {
@@ -290,7 +291,7 @@ def test_post_upload_rejects_non_json_response():
     class BogusHandler(BaseHTTPRequestHandler):
         def do_POST(self):
             self.rfile.read(int(self.headers.get("Content-Length", 0)))
-            body = b"<html>ok</html>"
+            body = self.server.reply
             self.send_response(200)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
@@ -304,8 +305,11 @@ def test_post_upload_rejects_non_json_response():
     thread.start()
     try:
         host, port = httpd.server_address[:2]
-        with pytest.raises(ProtocolError, match="malformed upload response"):
-            post_upload(f"http://{host}:{port}", UploadPayload(records=()))
+        # a page, nesting past the recursion limit, a count past int range
+        replies = (b"<html>ok</html>", b"[" * 200_000, b'{"message": "", "received": 1e400}')
+        for httpd.reply in replies:
+            with pytest.raises(ProtocolError, match="malformed upload response"):
+                post_upload(f"http://{host}:{port}", UploadPayload(records=()))
     finally:
         httpd.shutdown()
         thread.join()
