@@ -10,6 +10,7 @@ never recycle after a delete-all.
 
 import contextlib
 import json
+import math
 import os
 import re
 import threading
@@ -22,6 +23,7 @@ from speedcam.errors import (
     FormatError,
     RefusedError,
     StorageError,
+    json_field,
     parse_json,
     read_file,
 )
@@ -66,6 +68,8 @@ class CaptureRecord:
             )
         if self.id is not None and self.id < 1:
             raise FormatError(f"record id {self.id} must be positive")
+        if not math.isfinite(self.vehicle_speed):
+            raise FormatError(f"vehicle_speed must be finite, got {self.vehicle_speed}")
 
 
 def make_record(
@@ -97,14 +101,14 @@ def _record_to_line(r: CaptureRecord) -> str:
     )
 
 
-def _record_from_doc(doc: dict) -> CaptureRecord:
+def _record_from_doc(doc, where: str) -> CaptureRecord:
     return CaptureRecord(
-        vehicle_speed=float(doc["vehicle_speed"]),
-        location=str(doc["location"]),
-        capture_time=str(doc["capture_time"]),
-        picture_filename=str(doc["picture_filename"]),
-        speed_unit=str(doc.get("speed_unit", APP_READING_UNIT)),
-        id=int(doc["id"]),
+        vehicle_speed=json_field(doc, "vehicle_speed", float, StorageError, where),
+        location=json_field(doc, "location", str, StorageError, where),
+        capture_time=json_field(doc, "capture_time", str, StorageError, where),
+        picture_filename=json_field(doc, "picture_filename", str, StorageError, where),
+        speed_unit=json_field(doc, "speed_unit", str, StorageError, where, APP_READING_UNIT),
+        id=json_field(doc, "id", int, StorageError, where),
     )
 
 
@@ -161,8 +165,8 @@ class RecordStore:
                 where = f"{self._log_path}:{lineno}: bad record"
                 doc = parse_json(line, StorageError, where)
                 try:
-                    rec = _record_from_doc(doc)
-                except (KeyError, TypeError, ValueError, OverflowError, FormatError) as exc:
+                    rec = _record_from_doc(doc, where)
+                except FormatError as exc:
                     raise StorageError(f"{where}: {exc}") from None
                 self._records.append(rec)
                 self._filenames.add(rec.picture_filename)

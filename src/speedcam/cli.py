@@ -20,6 +20,7 @@ from speedcam.errors import (
     FormatError,
     SpeedcamError,
     StorageError,
+    json_value,
     parse_json,
     read_file,
     write_file,
@@ -475,6 +476,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_default(action: argparse.Action, value, where: str):
+    """A config value as the default of action, checked as the flag checks its words.
+
+    argparse converts a text default with the flag's type as it parses, but
+    checks no other default: so a switch takes true or false, a flag of
+    nargs N a list of N values, and any other value must have the JSON type
+    of the flag's type and lie among its choices.
+    """
+    kind = action.type if action.type in (int, float) else str
+    if action.nargs == 0:
+        return json_value(value, bool, ConfigError, where)
+    if isinstance(action.nargs, int):
+        return list(json_value(value, kind, ConfigError, where, action.nargs))
+    if not isinstance(value, str):
+        value = json_value(value, kind, ConfigError, where)
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"{where} must be one of {', '.join(map(repr, action.choices))}")
+    return value
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, argv):
     """Pre-scan for --config and fold its key=value pairs into defaults."""
     path = None
@@ -486,13 +507,12 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv):
     if path is None:
         return
     text = read_file(path, ConfigError, "config")
-    known = {
-        action.dest
-        for target in parser.config_targets
-        for action in target._actions
-        if action.default is not argparse.SUPPRESS
-    }
-    overrides = {}
+    actions = {}  # dest -> (parser, action) for each parser with that flag
+    for target in parser.config_targets:
+        for action in target._actions:
+            if action.default is not argparse.SUPPRESS:
+                actions.setdefault(action.dest, []).append((target, action))
+    overrides = {target: {} for target in parser.config_targets}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -501,16 +521,20 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv):
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         dest = key.replace("-", "_")
-        if dest not in known:
+        if dest not in actions:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        where = f"{path}:{lineno}: value of {key!r}"
         try:
-            overrides[dest] = json.loads(value)
+            value = json.loads(value)
         except ValueError:  # not JSON: the value is a string
-            overrides[dest] = value
+            pass
         except RecursionError:
-            raise ConfigError(f"{path}:{lineno}: value of {key!r} is nested too deep") from None
-    for target in parser.config_targets:
-        target.set_defaults(**overrides)
+            raise ConfigError(f"{where} is nested too deep") from None
+        for target, action in actions[dest]:
+            if not action.required:  # a required flag's default is never used
+                overrides[target][dest] = _config_default(action, value, where)
+    for target, defaults in overrides.items():
+        target.set_defaults(**defaults)
 
 
 def run(argv=None, clock=None) -> int:

@@ -7,6 +7,7 @@ enough support fuse to a single averaged Detection. The tracked vehicle
 is the largest-area detection.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,10 @@ from speedcam import kernels
 from speedcam.errors import ConfigError, NoScaleError
 from speedcam.imaging import Frame, Rect, integral, round_half_up
 from speedcam.mblbp import CascadeModel, scaled_feature_arrays
+
+# longest scale ladder: a plan holds arrays per scale and feature, so a factor
+# just above 1 would otherwise ask for millions of scales
+MAX_SCALES = 1024
 
 
 @dataclass(frozen=True)
@@ -37,6 +42,9 @@ class DetectorParams:
     def __post_init__(self):
         if not (0.0 < self.min_size_fraction <= 1.0):
             raise ConfigError(f"min_size_fraction {self.min_size_fraction} outside (0, 1]")
+        for name in ("scale_factor", "group_eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} {getattr(self, name)} must be finite")
         if self.scale_factor <= 1.0:
             raise ConfigError(f"scale_factor {self.scale_factor} must exceed 1")
         if self.stride_base < 1:
@@ -67,7 +75,8 @@ def scale_schedule(
 
     s0 makes the window height min_size_fraction of the frame height;
     each next scale multiplies by scale_factor; generation stops once the
-    scaled window exceeds the frame in either dimension.
+    scaled window exceeds the frame in either dimension or overflows. A
+    ladder longer than MAX_SCALES is an error.
     """
     s0 = params.min_size_fraction * frame_h / window_h
     if s0 < 1.0:
@@ -78,8 +87,14 @@ def scale_schedule(
     scales = []
     s = s0
     while (
-        round_half_up(window_w * s) <= frame_w and round_half_up(window_h * s) <= frame_h
+        math.isfinite(max(window_w, window_h) * s)
+        and round_half_up(window_w * s) <= frame_w
+        and round_half_up(window_h * s) <= frame_h
     ):
+        if len(scales) == MAX_SCALES:
+            raise ConfigError(
+                f"scale_factor {params.scale_factor} gives more than {MAX_SCALES} scales"
+            )
         scales.append(s)
         s *= params.scale_factor
     if not scales:

@@ -3,8 +3,9 @@
 Everything raised on bad input or bad state derives from SpeedcamError so
 the CLI can map domain failures to a single exit code. ``read_file`` is the
 one reader for files that come from outside the program, ``parse_json`` the
-one parser of JSON documents from outside, and ``write_file`` the one writer
-of files at paths given from outside.
+one parser of JSON documents from outside, ``json_field`` and ``json_value``
+the one reader of their fields' types, and ``write_file`` the one writer of
+files at paths given from outside.
 """
 
 import json
@@ -101,6 +102,46 @@ def parse_json(data, error: type[SpeedcamError], what: str):
         return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except (ValueError, RecursionError) as exc:
         raise error(f"{what}: not valid JSON: {exc}") from None
+
+
+_KINDS = {  # what a value of each kind must be, for messages
+    bool: "true or false", int: "an integer", float: "a number", str: "a string", list: "a list"
+}
+
+
+def json_value(value, kind, error: type[SpeedcamError], what: str, length=None):
+    """value, checked to have the JSON type kind, else raise ``error`` naming what.
+
+    kind is bool, int, str, list or float. A bool is never a number: an int
+    is a JSON integer, and a float any JSON number, returned as a float; an
+    integer past float range is an error. With length, value must be a list
+    of that many kind values, returned as a tuple.
+    """
+    if length is not None:
+        if not isinstance(value, list) or len(value) != length:
+            raise error(f"{what} must be a list of {length} items, each {_KINDS[kind]}")
+        return tuple(json_value(item, kind, error, f"{what}[{i}]") for i, item in enumerate(value))
+    types = (int, float) if kind is float else kind
+    if not isinstance(value, types) or isinstance(value, bool) != (kind is bool):
+        raise error(f"{what} must be {_KINDS[kind]}")
+    try:
+        return float(value) if kind is float else value
+    except OverflowError:
+        raise error(f"{what} is past float range") from None
+
+
+def json_field(doc, key, kind, error: type[SpeedcamError], where: str, default=None, length=None):
+    """doc[key], checked by ``json_value``; doc must be a JSON object.
+
+    A missing key gives default, or raises ``error`` when default is None.
+    """
+    if not isinstance(doc, dict):
+        raise error(f"{where}: not a JSON object")
+    if key not in doc:
+        if default is None:
+            raise error(f'{where}: missing required field "{key}"')
+        return default
+    return json_value(doc[key], kind, error, f'{where}: field "{key}"', length)
 
 
 def write_file(path, data, error: type[SpeedcamError], what: str = "") -> None:

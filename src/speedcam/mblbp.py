@@ -23,6 +23,8 @@ from speedcam.errors import (
     FormatError,
     ModelReferenceError,
     UnsupportedModelError,
+    json_field,
+    json_value,
     parse_json,
 )
 from speedcam.imaging import Rect, rect_sum, round_half_up
@@ -255,75 +257,38 @@ def save_model(model: CascadeModel) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _require(doc, key, kind, where):
-    if key not in doc:
-        raise FormatError(f"{where}: missing required field \"{key}\"")
-    value = doc[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise FormatError(f"{where}: field \"{key}\" must be a number")
-        try:
-            number = float(value)
-        except OverflowError:
-            raise FormatError(f"{where}: field \"{key}\" is too large") from None
-        if not math.isfinite(number):
-            raise FormatError(f"{where}: field \"{key}\" must be finite, got {number}")
-        return number
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise FormatError(f"{where}: field \"{key}\" has wrong type")
-    return value
+def _finite(doc, key, where) -> float:
+    number = json_field(doc, key, float, FormatError, where)
+    if not math.isfinite(number):
+        raise FormatError(f'{where}: field "{key}" must be finite, got {number}')
+    return number
 
 
 def load_model(text: str) -> CascadeModel:
     """Parse the canonical JSON model document."""
     doc = parse_json(text, FormatError, "model document")
-    if not isinstance(doc, dict):
-        raise FormatError("model document must be a JSON object")
-
-    window = doc.get("window", [DEFAULT_WINDOW_W, DEFAULT_WINDOW_H])
-    if (
-        not isinstance(window, list)
-        or len(window) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in window)
-    ):
-        raise FormatError('field "window" must be a [width, height] integer pair')
-
-    raw_features = _require(doc, "features", list, "model")
-    features = []
-    for i, entry in enumerate(raw_features):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 4
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in entry)
-        ):
-            raise FormatError(f"features[{i}] must be [bx, by, bw, bh] integers")
-        features.append(MbLbpFeature(*entry))
-
-    raw_stages = _require(doc, "stages", list, "model")
+    window = json_field(
+        doc, "window", int, FormatError, "model", (DEFAULT_WINDOW_W, DEFAULT_WINDOW_H), length=2
+    )
+    features = [
+        MbLbpFeature(*json_value(entry, int, FormatError, f"features[{i}]", length=4))
+        for i, entry in enumerate(json_field(doc, "features", list, FormatError, "model"))
+    ]
     stages = []
-    for si, sdoc in enumerate(raw_stages):
-        if not isinstance(sdoc, dict):
-            raise FormatError(f"stages[{si}] must be an object")
+    for si, sdoc in enumerate(json_field(doc, "stages", list, FormatError, "model")):
         where = f"stages[{si}]"
-        threshold = _require(sdoc, "threshold", float, where)
-        raw_weaks = _require(sdoc, "weaks", list, where)
+        threshold = _finite(sdoc, "threshold", where)
         weaks = []
-        for wi, wdoc in enumerate(raw_weaks):
-            if not isinstance(wdoc, dict):
-                raise FormatError(f"{where}.weaks[{wi}] must be an object")
+        for wi, wdoc in enumerate(json_field(sdoc, "weaks", list, FormatError, where)):
             wwhere = f"{where}.weaks[{wi}]"
-            fi = _require(wdoc, "feature", int, wwhere)
-            subset = _require(wdoc, "subset", list, wwhere)
-            if len(subset) != SUBSET_WORDS or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in subset
-            ):
-                raise FormatError(f"{wwhere}: \"subset\" must be {SUBSET_WORDS} integers")
-            leaf_in = _require(wdoc, "leafIn", float, wwhere)
-            leaf_out = _require(wdoc, "leafOut", float, wwhere)
-            weaks.append(WeakClassifier(fi, tuple(subset), leaf_in, leaf_out))
+            fi = json_field(wdoc, "feature", int, FormatError, wwhere)
+            subset = json_field(wdoc, "subset", int, FormatError, wwhere, length=SUBSET_WORDS)
+            leaf_in = _finite(wdoc, "leafIn", wwhere)
+            leaf_out = _finite(wdoc, "leafOut", wwhere)
+            weaks.append(WeakClassifier(fi, subset, leaf_in, leaf_out))
         stages.append(Stage(threshold, tuple(weaks)))
 
-    return CascadeModel(tuple(features), tuple(stages), window[0], window[1])
+    return CascadeModel(tuple(features), tuple(stages), *window)
 
 
 def _reverse_bits8(code: int) -> int:

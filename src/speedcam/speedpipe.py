@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from speedcam.errors import ConfigError, InsufficientDataError, TimeOrderError
+from speedcam.errors import ConfigError, InsufficientDataError, TimeOrderError, json_field
 from speedcam.imaging import round_half_up
 
 KM_PER_MI = 1.609344
@@ -124,22 +124,18 @@ class CalibrationProfile:
         }
 
 
-def calibration_from_doc(doc: dict) -> CalibrationProfile:
+def calibration_from_doc(doc) -> CalibrationProfile:
     """Parse the JSON shape produced by CalibrationProfile.to_doc."""
-    try:
-        frame = doc["frame"]
-        return CalibrationProfile(
-            px_per_m=float(doc["pxPerM"]),
-            reference=CalibrationReference(
-                object_px_len=float(doc["objectPxLen"]),
-                object_len_m=float(doc["objectLenM"]),
-                vehicle_distance_m=float(doc["vehicleDistanceM"]),
-                frame=(int(frame[0]), int(frame[1])),
-            ),
-        )
-    # OverflowError: an infinite frame dimension
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise ConfigError(f"bad calibration document: {exc}") from None
+    where = "bad calibration document"
+    return CalibrationProfile(
+        px_per_m=json_field(doc, "pxPerM", float, ConfigError, where),
+        reference=CalibrationReference(
+            object_px_len=json_field(doc, "objectPxLen", float, ConfigError, where),
+            object_len_m=json_field(doc, "objectLenM", float, ConfigError, where),
+            vehicle_distance_m=json_field(doc, "vehicleDistanceM", float, ConfigError, where),
+            frame=json_field(doc, "frame", int, ConfigError, where, length=2),
+        ),
+    )
 
 
 @dataclass(frozen=True)

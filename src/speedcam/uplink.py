@@ -26,6 +26,7 @@ from speedcam.errors import (
     ProtocolError,
     StorageError,
     TransportError,
+    json_field,
     parse_json,
 )
 
@@ -153,12 +154,12 @@ def post_upload(
         with urllib.request.urlopen(request, timeout=TIMEOUT_S) as response:
             raw = response.read()
     except urllib.error.HTTPError as exc:
-        detail = ""
-        try:
-            doc = json.loads(exc.read().decode("utf-8"))
-            detail = f": {doc.get('message', '')}"
-        except Exception:
-            pass
+        try:  # the server's message is a best-effort detail
+            with exc:
+                doc = parse_json(exc.read(), ProtocolError, "error body")
+            detail = ": " + json_field(doc, "message", str, ProtocolError, "error body")
+        except (OSError, http.client.HTTPException, ProtocolError):
+            detail = ""
         raise TransportError(
             f"upload rejected with status {exc.code}{detail}", status=exc.code
         ) from None
@@ -166,36 +167,28 @@ def post_upload(
         raise TransportError(f"cannot reach {url}: {exc.reason}") from None
     except (OSError, http.client.HTTPException) as exc:  # a stalled or broken reply
         raise TransportError(f"no reply from {url}: {exc!r}") from None
-    doc = parse_json(raw, ProtocolError, "malformed upload response")
-    try:
-        return UploadResponse(message=str(doc["message"]), received=int(doc["received"]))
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise ProtocolError(f"malformed upload response: {exc}") from None
+    what = "malformed upload response"
+    doc = parse_json(raw, ProtocolError, what)
+    return UploadResponse(
+        message=json_field(doc, "message", str, ProtocolError, what),
+        received=json_field(doc, "received", int, ProtocolError, what),
+    )
 
 
 def _parse_payload_records(doc) -> list[tuple[CaptureRecord, bytes]]:
     """Validate a request document fully; nothing is persisted on failure."""
-    if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
-        raise FormatError('payload must be an object with a "records" list')
     out = []
-    for i, entry in enumerate(doc["records"]):
-        if not isinstance(entry, dict):
-            raise FormatError(f"records[{i}] must be an object")
-        name = entry.get("pictureFilename", f"records[{i}]")
-        try:
-            speed = float(entry["vehicleSpeed"])
-            location = str(entry["location"])
-            capture_time = str(entry["captureTime"])
-            filename = str(entry["pictureFilename"])
-            encoded = entry["pictureBase64"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"record {name}: bad field: {exc}") from None
-        if not isinstance(encoded, str):
-            raise FormatError(f"record {name}: pictureBase64 must be a string")
+    for i, entry in enumerate(json_field(doc, "records", list, FormatError, "payload")):
+        filename = json_field(entry, "pictureFilename", str, FormatError, f"records[{i}]")
+        where = f"record {filename}"
+        speed = json_field(entry, "vehicleSpeed", float, FormatError, where)
+        location = json_field(entry, "location", str, FormatError, where)
+        capture_time = json_field(entry, "captureTime", str, FormatError, where)
+        encoded = json_field(entry, "pictureBase64", str, FormatError, where)
         try:
             image = decode_image(encoded)
         except DecodeError as exc:
-            raise DecodeError(f"record {filename}: {exc}") from None
+            raise DecodeError(f"{where}: {exc}") from None
         try:
             record = CaptureRecord(
                 vehicle_speed=speed,
@@ -205,7 +198,7 @@ def _parse_payload_records(doc) -> list[tuple[CaptureRecord, bytes]]:
                 speed_unit=INGEST_SPEED_UNIT,
             )
         except FormatError as exc:
-            raise FormatError(f"record {filename}: {exc}") from None
+            raise FormatError(f"{where}: {exc}") from None
         out.append((record, image))
     return out
 

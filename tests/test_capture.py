@@ -58,6 +58,12 @@ def test_record_rejects_malformed_time():
             make_record(1.0, "x", bad)
 
 
+def test_record_rejects_a_speed_that_is_not_finite():
+    for bad in [float("nan"), float("inf"), float("-inf")]:
+        with pytest.raises(FormatError, match="vehicle_speed must be finite"):
+            make_record(bad, "x", TIMES[0])
+
+
 def test_record_rejects_mismatched_filename():
     with pytest.raises(FormatError, match="picture_filename"):
         CaptureRecord(1.0, "x", TIMES[0], "vehicle_picture_other.jpg")
@@ -226,6 +232,18 @@ def test_corrupt_log_field_is_an_error(tmp_path):
     ]:
         log.write_text(json.dumps(bad) + "\n")
         with pytest.raises(StorageError, match="records.log:1: bad record"):
+            RecordStore(tmp_path / "store")
+    # a field of another JSON type is refused, not coerced, and so is a NaN speed
+    for key, value in [
+        ("id", 1.5),
+        ("id", True),
+        ("vehicle_speed", "7"),
+        ("vehicle_speed", float("nan")),
+        ("location", ["x"]),
+        ("speed_unit", 5),
+    ]:
+        log.write_text(json.dumps(dict(doc, **{key: value})) + "\n")
+        with pytest.raises(StorageError, match=f'records.log:1: bad record: (field ")?{key}'):
             RecordStore(tmp_path / "store")
 
 

@@ -321,6 +321,26 @@ def test_detect_prints_tsv_rows(workflow, capsys):
     assert all(abs((b - a) - 10) <= 2 for a, b in zip(xs, xs[1:]))
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--scale-factor", "nan"),
+        ("--scale-factor", "inf"),
+        ("--scale-factor", "1.0000001"),
+        ("--group-eps", "nan"),
+        ("--group-eps", "inf"),
+    ],
+)
+def test_detect_refuses_detector_flags_it_cannot_scan_with(workflow, capsys, flag, value):
+    argv = ["detect", "--frames", str(workflow.seq), "--model", str(workflow.model)]
+    capsys.readouterr()
+    assert run(argv + [flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+    assert "Traceback" not in err
+
+
 def test_speed_reports_four_window_estimate(workflow, capsys):
     capsys.readouterr()
     rc = run(
@@ -517,6 +537,25 @@ def test_speed_refuses_calibration_numbers_that_are_not_finite_and_positive(
     out, err = capsys.readouterr()
     assert out == ""
     assert "error:" in err and "must be finite and positive" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("frame", [1920.7, 1080]), ("frame", [True, True]), ("pxPerM", "150"), ("objectLenM", True)],
+)
+def test_speed_refuses_calibration_fields_of_another_json_type(
+    workflow, capsys, tmp_path, key, value
+):
+    cal = speedpipe.calibrate(300.0, 3.0, 10.0, (640, 360)).to_doc()
+    cal_path = tmp_path / "cal.json"
+    cal_path.write_text(json.dumps({**cal, key: value}))
+    base = ["speed", "--frames", str(workflow.seq), "--model", str(workflow.model)]
+    capsys.readouterr()
+    assert run(base + ["--calibration", str(cal_path)] + _det_args(workflow.case.params)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and f'field "{key}"' in err
     assert "Traceback" not in err
 
 
@@ -755,7 +794,9 @@ def test_train_empty_directory_is_a_domain_error(capsys, tmp_path):
 
 def test_config_file_overrides_defaults(capsys, tmp_path):
     cfg = tmp_path / "speedcam.cfg"
-    cfg.write_text("# defaults for small test rigs\nwidth=320\nheight=180\nfps=25\n")
+    cfg.write_text(
+        "# defaults for small test rigs\nwidth=320\nheight=180\nfps=25\nvelocity=[8, 0]\n"
+    )
     seq = tmp_path / "seq"
     rc = run(
         [
@@ -800,6 +841,33 @@ def test_config_file_overrides_defaults(capsys, tmp_path):
     assert rc == 0
     assert imaging.read_sequence(seq2)[0].width == 200
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "stride = 2.5",
+        "min-neighbors = true",
+        "record-unit = furlongs",
+        'record-unit = "furlongs"',
+        "capture = 1",
+        "velocity = [4]",
+        "velocity = 4 0",
+        "fps = null",
+    ],
+)
+def test_config_values_get_the_flags_own_checks(workflow, capsys, tmp_path, line):
+    cfg = tmp_path / "speedcam.cfg"
+    cfg.write_text(f"# detector\n{line}\n")
+    argv = ["--config", str(cfg), "speed", "--frames", str(workflow.seq)]
+    argv += ["--model", str(workflow.model), "--px-per-m", "100", "--capture"]
+    argv += ["--store", str(tmp_path / "store")]
+    capsys.readouterr()
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    key = line.split(" =")[0]
+    assert out == "" and err.startswith(f"error: {cfg}:2: value of {key!r} must be")
+    assert "Traceback" not in err
 
 
 def test_config_file_rejects_malformed_lines(capsys, tmp_path):

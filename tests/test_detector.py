@@ -1,5 +1,7 @@
 """Scale ladder, sliding-window scan, grouping, and vehicle selection."""
 
+import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -27,6 +29,11 @@ def test_params_validation():
         DetectorParams(min_neighbors=0)
     with pytest.raises(ConfigError):
         DetectorParams(group_eps=-0.1)
+    # a NaN compares false and an infinity overflows the ladder: both are refused
+    for name in ("scale_factor", "group_eps"):
+        for bad in [math.nan, math.inf]:
+            with pytest.raises(ConfigError, match=f"{name} {bad} must be finite"):
+                DetectorParams(**{name: bad})
 
 
 # --- scale schedule ---
@@ -77,6 +84,25 @@ def test_schedule_width_can_be_the_binding_constraint():
     nxt = scales[-1] * params.scale_factor
     assert round_half_up(48 * nxt) > 300
     assert round_half_up(24 * nxt) <= 1000  # height alone would have allowed it
+
+
+def test_schedule_ends_where_the_next_scale_overflows():
+    assert scale_schedule(640, 360, 48, 24, DetectorParams(scale_factor=1e308)) == [4.5]
+
+
+def test_schedule_refuses_a_ladder_longer_than_max_scales(monkeypatch):
+    n = len(scale_schedule(1920, 1080, 48, 24, DetectorParams()))
+    monkeypatch.setattr(detector, "MAX_SCALES", n)
+    assert len(scale_schedule(1920, 1080, 48, 24, DetectorParams())) == n
+    monkeypatch.setattr(detector, "MAX_SCALES", n - 1)
+    with pytest.raises(ConfigError, match=f"scale_factor 1.1 gives more than {n - 1} scales"):
+        scale_schedule(1920, 1080, 48, 24, DetectorParams())
+    monkeypatch.undo()
+    # the ladder grows as 1/ln(scale_factor): this one would hold about 10^7 scales
+    start = time.monotonic()
+    with pytest.raises(ConfigError, match="scale_factor 1.0000001 gives more than 1024"):
+        scale_schedule(640, 360, 48, 24, DetectorParams(scale_factor=1.0000001))
+    assert time.monotonic() - start < 1
 
 
 def test_schedule_rejects_frame_narrower_than_first_window():

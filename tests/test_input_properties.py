@@ -1,9 +1,10 @@
 """Property tests for the parsers of outside input.
 
 Every parser must return a value or raise SpeedcamError, whatever bytes or
-text it is given: PGM frames, sequence manifests, model JSON, cascade XML
-and Base64 image text. The inputs are random documents and valid
-documents with parts replaced by random values.
+text it is given: PGM frames, sequence manifests, model JSON, calibration
+JSON, records.log lines, ingest request bodies, cascade XML and Base64
+image text. The inputs are random documents and valid documents with
+parts replaced by random values.
 """
 
 import json
@@ -16,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speedcam import imaging, mblbp, uplink
-from speedcam.errors import FormatError, SpeedcamError
+from speedcam import capture, imaging, mblbp, speedpipe, uplink
+from speedcam.errors import FormatError, SpeedcamError, parse_json
 
 # deterministic examples, no example database written next to the tests
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -132,6 +133,10 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.sampled_from(MODEL_KEYS) | st.text(max_size=5), inner, max_size=4),
     max_leaves=10,
 )
+# values a lax reader would coerce: booleans, numbers as text, fractions for integers
+COERCIBLE = st.sampled_from(
+    ["true", "false", '"12"', '"nan"', '"-inf"', "1.5", "1920.7", "7", '["x"]', '{"a": 1}']
+).map(json.loads)
 VALID_MODEL = {
     "window": [12, 9],
     "features": [[0, 0, 4, 3], [1, 0, 2, 2]],
@@ -160,18 +165,23 @@ def _mutate(data, node):
         if data.draw(st.booleans()):
             del node[key]
         else:
-            node[key] = data.draw(JSON_VALUES)
+            node[key] = data.draw(st.one_of(COERCIBLE, JSON_VALUES))
         return
+
+
+def _mutated(data, valid) -> str:
+    """valid as JSON text with up to three values replaced or deleted, maybe cut short."""
+    doc = json.loads(json.dumps(valid))
+    for _ in range(data.draw(st.integers(0, 3))):
+        _mutate(data, doc)
+    text = json.dumps(doc)
+    return data.draw(st.sampled_from([text, text[: data.draw(st.integers(0, 80))]]))
 
 
 @FUZZ
 @given(st.data())
 def test_load_model_returns_a_model_or_refuses(data):
-    doc = json.loads(json.dumps(VALID_MODEL))
-    for _ in range(data.draw(st.integers(0, 3))):
-        _mutate(data, doc)
-    text = json.dumps(doc)
-    text = data.draw(st.sampled_from([text, text[: data.draw(st.integers(0, 80))]]))
+    text = _mutated(data, VALID_MODEL)
     model = _refuses_or_returns(mblbp.load_model, text)
     if model is not None:  # compared as text, so a NaN leaf compares equal
         text = mblbp.save_model(model)
@@ -197,6 +207,87 @@ def test_load_model_refuses_text_that_is_not_a_model(text):
 def test_load_model_refuses_numbers_and_nesting_past_python_limits(text):
     with pytest.raises(FormatError):
         mblbp.load_model(text)
+
+
+# --- calibration JSON, records.log lines and ingest bodies ---
+
+VALID_CALIBRATION = speedpipe.calibrate(449.73, 3.0, 10.0, (1920, 1080)).to_doc()
+TIME = "2016-09-26_09_17_32"
+VALID_RECORD = {
+    "id": 1,
+    "vehicle_speed": 173.0,
+    "location": "Main St",
+    "capture_time": TIME,
+    "picture_filename": capture.picture_filename_for(TIME),
+    "speed_unit": capture.APP_READING_UNIT,
+}
+VALID_BODY = {
+    "records": [
+        {
+            "vehicleSpeed": 12.5,
+            "location": "Main St",
+            "captureTime": t,
+            "pictureFilename": capture.picture_filename_for(t),
+            "pictureBase64": uplink.encode_image(b"img"),
+        }
+        for t in [TIME, "2016-09-26_10_05_01"]
+    ]
+}
+
+
+def _float(value):
+    """A JSON integer as the float a reader makes of a number; anything else as it is."""
+    return float(value) if type(value) is int else value
+
+
+def _json(value) -> str:
+    """JSON text, which tells true from 1 and 1 from 1.0, unlike ==."""
+    return json.dumps(value, sort_keys=True)
+
+
+@FUZZ
+@given(st.data())
+def test_calibration_from_doc_returns_a_profile_or_refuses(data):
+    text = _mutated(data, VALID_CALIBRATION)
+    cal = _refuses_or_returns(
+        lambda t: speedpipe.calibration_from_doc(parse_json(t, FormatError, "calibration")), text
+    )
+    if cal is not None:
+        doc = json.loads(text)
+        want = {k: v if k == "frame" else _float(v) for k, v in doc.items()}
+        assert _json(cal.to_doc()) == _json(want)
+
+
+@FUZZ
+@given(st.data())
+def test_records_log_line_loads_a_record_or_refuses(data):
+    text = _mutated(data, VALID_RECORD)
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / capture.LOG_NAME).write_text(text + "\n", encoding="utf-8")
+        store = _refuses_or_returns(capture.RecordStore, tmp)
+    if store is not None and text.strip():
+        [record] = store.list_all()
+        doc = json.loads(text)
+        want = {**doc, "vehicle_speed": _float(doc["vehicle_speed"])}
+        assert _json({key: getattr(record, key) for key in doc}) == _json(want)
+
+
+@FUZZ
+@given(st.data())
+def test_ingest_body_parses_to_records_or_refuses(data):
+    text = _mutated(data, VALID_BODY)
+    items = _refuses_or_returns(
+        lambda t: uplink._parse_payload_records(parse_json(t, FormatError, "payload")), text
+    )
+    if items is not None:
+        entries = json.loads(text)["records"]
+        assert len(items) == len(entries)
+        for (record, image), entry in zip(items, entries):
+            got = [record.vehicle_speed, record.location, record.capture_time, record.picture_filename]
+            want = [_float(entry["vehicleSpeed"])]
+            want += [entry["location"], entry["captureTime"], entry["pictureFilename"]]
+            assert _json(got) == _json(want)
+            assert image == uplink.decode_image(entry["pictureBase64"])
 
 
 # --- cascade XML ---

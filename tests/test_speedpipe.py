@@ -257,6 +257,18 @@ def test_calibration_doc_round_trip():
     for frame in [[0, 1080], [1920, -1], [math.inf, 1080], [1920, math.nan]]:
         with pytest.raises(ConfigError):
             calibration_from_doc({**cal.to_doc(), "frame": frame})
+    # a field of another JSON type is refused, not coerced
+    for key, value in [
+        ("frame", [1920.7, 1080]),
+        ("frame", [True, True]),
+        ("frame", [1920, 1080, 1]),
+        ("pxPerM", "150"),
+        ("objectLenM", True),
+    ]:
+        with pytest.raises(ConfigError, match=f'field "{key}"'):
+            calibration_from_doc({**cal.to_doc(), key: value})
+    with pytest.raises(ConfigError, match="not a JSON object"):
+        calibration_from_doc([cal.to_doc()])
 
 
 # --- finalize ---

@@ -165,6 +165,7 @@ def test_server_rejects_get_and_wrong_path(tmp_path):
     with serve_ingest("127.0.0.1:0", tmp_path / "server") as server:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(server.endpoint + "/uploadData")
+        err.value.close()
         assert err.value.code == 405
         req = urllib.request.Request(
             server.endpoint + "/other",
@@ -174,6 +175,7 @@ def test_server_rejects_get_and_wrong_path(tmp_path):
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req)
+        err.value.close()
         assert err.value.code == 404
         assert server.store.list_all() == []
 
@@ -225,7 +227,8 @@ def test_corrupt_record_rejects_whole_batch(tmp_path):
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req)
         assert err.value.code == 400
-        detail = json.loads(err.value.read())
+        with err.value:
+            detail = json.loads(err.value.read())
         assert doc["records"][3]["pictureFilename"] in detail["message"]
         # atomicity: earlier records in the batch must not have landed
         assert server.store.list_all() == []
@@ -260,8 +263,45 @@ def test_malformed_json_and_bad_time_are_400(tmp_path):
             )
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(req)
+            err.value.close()
             assert err.value.code == 400
         assert server.store.list_all() == []
+
+
+@pytest.mark.parametrize(
+    "speed, says",
+    [
+        ('"nan"', 'field "vehicleSpeed" must be a number'),
+        ('"-inf"', 'field "vehicleSpeed" must be a number'),
+        ("true", 'field "vehicleSpeed" must be a number'),
+        ('"12"', 'field "vehicleSpeed" must be a number'),
+        ("NaN", "vehicle_speed must be finite"),
+    ],
+    ids=["nan-text", "inf-text", "true", "number-text", "NaN"],
+)
+def test_ingest_refuses_a_speed_that_is_not_a_finite_number(tmp_path, speed, says):
+    entry = {
+        "vehicleSpeed": "SPEED",
+        "location": "x",
+        "captureTime": TIMES[0],
+        "pictureFilename": f"vehicle_picture_{TIMES[0]}.jpg",
+        "pictureBase64": encode_image(b"img"),
+    }
+    body = json.dumps({"records": [entry]}).replace('"SPEED"', speed)
+    with serve_ingest("127.0.0.1:0", tmp_path / "server") as server:
+        req = urllib.request.Request(
+            server.endpoint + "/uploadData",
+            data=body.encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req)
+        with err.value:
+            assert err.value.code == 400
+            assert says in json.loads(err.value.read())["message"]
+        assert server.store.list_all() == []
+    assert not (tmp_path / "server" / "records.log").exists()
 
 
 @pytest.mark.parametrize("length", ["abc", "-1"])
@@ -309,6 +349,17 @@ def test_post_upload_rejects_non_json_response():
         replies = (b"<html>ok</html>", b"[" * 200_000, b'{"message": "", "received": 1e400}')
         for httpd.reply in replies:
             with pytest.raises(ProtocolError, match="malformed upload response"):
+                post_upload(f"http://{host}:{port}", UploadPayload(records=()))
+        # a field of another JSON type is refused, not coerced
+        for key, value in [
+            ("received", "true"),
+            ("received", "1.9"),
+            ("received", '"5"'),
+            ("message", '{"a": 1}'),
+        ]:
+            fields = {"message": '"ok"', "received": "0", key: value}
+            httpd.reply = ('{"message": %(message)s, "received": %(received)s}' % fields).encode()
+            with pytest.raises(ProtocolError, match=f'malformed upload response: field "{key}"'):
                 post_upload(f"http://{host}:{port}", UploadPayload(records=()))
     finally:
         httpd.shutdown()
