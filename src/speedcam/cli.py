@@ -163,8 +163,12 @@ def _calibration_from_args(args, frame_dims) -> speedpipe.CalibrationProfile:
         raise ConfigError("provide exactly one of --px-per-m or --calibration")
     if args.calibration is not None:
         text = read_file(args.calibration, ConfigError, "calibration")
-        doc = parse_json(text, ConfigError, f"calibration {args.calibration}")
-        return speedpipe.calibration_from_doc(doc)
+        where = f"calibration {args.calibration}"
+        doc = parse_json(text, ConfigError, where)
+        try:
+            return speedpipe.calibration_from_doc(doc)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     if not (math.isfinite(args.px_per_m) and args.px_per_m > 0):
         raise ConfigError(f"--px-per-m must be finite and positive, got {args.px_per_m}")
     # direct coefficient: record it as a 1-metre reference object

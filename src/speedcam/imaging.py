@@ -324,6 +324,8 @@ def read_sequence(directory, fps: float | None = None) -> list[Frame]:
             if ts < 0:
                 raise FormatError(f"{MANIFEST_NAME}:{lineno}: negative timestamp")
             entries.append((name, ts))
+        if not entries:
+            raise FormatError(f"{manifest} names no frames")
     else:
         names = sorted(p.name for p in directory.glob("*.pgm"))
         if not names:

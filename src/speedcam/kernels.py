@@ -19,21 +19,22 @@ stage end is the same check with no weaks left. Which weaks can fail any
 window is known from the model alone (``wcheck``), so the others get no
 check.
 
-Stage 0 runs per scale, over bands of whole rows of at most
-``SCAN_BAND_ORIGINS`` origins, which bounds the block temporaries on large
-frames. Until a check drops an origin, a band is read densely: each weak
-reads the 16 grid corners of every origin as one strided view of the
-prefix table (``_corner_view``), with no index array and no gather. After
-that, later weaks gather the corners of the survivors only, with
-``codes_at``. The stage-0 survivors of every scale, scale-major then
-row-major, then run the later stages together as (x, y, scale index),
-in chunks of at most ``SCAN_BAND_ORIGINS``: each weak is one ``codes_at``
-call whose block sizes come per survivor from the plan, not one call per
-scale. The result is one flat mask over all scales' lattices. The
-trainer's ``codes_stack`` reads its corners through the same view, over a
-stack of sample tables on a trailing axis: the prefix table is
-(h+1, w+1, n_samples), so every loop of ``_codes`` runs over contiguous
-samples.
+A frame is scanned in two steps. First, per scale, each of stage 0's
+first ``dense`` weaks reads the 16 grid corners of every origin as one
+strided view of the prefix table (``_corner_view``), with no index array
+and no gather. ``dense`` ends at stage 0's first weak that can fail a
+window, or with the stage; the model alone decides it. The check after
+it runs, and each survivor keeps its flat mask position and partial sum.
+A scale runs in bands of whole rows of at most ``SCAN_BAND_ORIGINS``
+origins, which bounds the block temporaries on large frames. Second, the
+survivors of every band and scale, scale-major then row-major, run every
+later weak together: the rest of stage 0, then stages 1+. Each weak is
+one ``codes_at`` call per chunk of at most ``GATHER_CHUNK`` windows, with
+block sizes per window from the plan. The result is one flat mask over
+all scales' lattices. The trainer's ``codes_stack`` reads its corners
+through the same view, over a stack of sample tables on a trailing axis:
+the prefix table is (h+1, w+1, n_samples), so every loop of ``_codes``
+runs over contiguous samples.
 
 A ``ScanPlan`` is built from the model and the lattices alone: it derives
 the flattened model arrays the hot loop reads, once, so that they always
@@ -48,6 +49,7 @@ agree with the model's votes and the loop never touches Python objects:
 * ``sthr``              per-stage acceptance thresholds
 * ``vmax, wcheck``      each weak's largest vote, and whether the bound
   after it can fall below the stage threshold
+* ``dense``             stage 0's weaks through its first checked one
 """
 
 from dataclasses import dataclass, field
@@ -67,6 +69,11 @@ _GRID = np.arange(4)
 # origins per scan band: a 640x360 frame at stride 2 is one band, and the
 # (3, 3, rows, nx) int64 block temporaries of a band stay near 5 MB each
 SCAN_BAND_ORIGINS = 1 << 16
+
+# windows per later-weak gather: a chunk's (4, 4, n) index and corner
+# temporaries stay within a full dense band's and in cache. On crowd, 65,536
+# raised peak RSS by about 3 MB, and 4,096 was slower for its extra calls
+GATHER_CHUNK = 1 << 13
 
 # bytes ``_codes`` holds per grid at its peak: the (3, 3) int64 block sums,
 # their bool comparison, the weighted uint8 bits and the code
@@ -234,6 +241,7 @@ class ScanPlan:
     vmax: np.ndarray = field(init=False)
     wcheck: np.ndarray = field(init=False)
     start: np.ndarray = field(init=False)  # (n_scales + 1,) int64
+    dense: int = field(init=False)
 
     def __post_init__(self):
         stages = self.model.stages
@@ -251,10 +259,12 @@ class ScanPlan:
             for k in range(sbound[si], sbound[si + 1]):
                 lo += vmin[k]
                 wcheck[k] = _bound(lo, vmax[k + 1 : sbound[si + 1]]) < thr
+        checks = np.flatnonzero(wcheck[: sbound[1]])
         derived = dict(
             wfeat=np.array([w.feature_index for w in weaks], dtype=np.int64),
             votes=votes, sbound=sbound, sthr=sthr, vmax=vmax, wcheck=wcheck,
             start=np.concatenate([[0], np.cumsum(self.nx * self.ny)]),
+            dense=int(checks[0]) + 1 if checks.size else int(sbound[1]),
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -267,92 +277,78 @@ class ScanPlan:
         return s, ix * stride, iy * stride
 
 
-def _pass(sums, plan, stages, s, x, y, band=None):
-    """Positions of the windows that pass every stage in ``stages``.
-
-    The windows are the origins (x, y), with scale index s: one index, or
-    an array of one per origin. The result indexes x and y, or is None
-    when every window passed. With band = (top, rows), x and y are None
-    and the windows are those rows of scale s's lattice, read through
-    corner views until a check drops one; the result then indexes the
-    band's origins row-major.
+def _dense_band(sums, plan, s, top, rows):
+    """Flat mask positions and partial sums of the origins in rows top ..
+    top+rows-1 of scale s's lattice that pass stage 0's first
+    ``plan.dense`` weaks, each read through one corner view, and the check
+    after the last of them. A band is one call so that its arrays are freed
+    before the next band's are made: held across bands, they made the
+    allocator hand back and fault in again about 6 MB a frame on track.
     """
-    if band is not None:
-        top, rows = band
-        stride, nx = int(plan.stride[s]), int(plan.nx[s])
-    alive = None
-    for si in stages:
-        end = plan.sbound[si + 1]
-        for wi in range(plan.sbound[si], end):
-            f = plan.wfeat[wi]
-            if x is None:
-                fx, fy, fbw, fbh = plan.grid[:, s, f].tolist()
-                codes = _codes(_corner_view(
-                    sums, fx, top * stride + fy, stride, stride, nx, rows, fbw, fbh,
-                )).reshape(-1)
-            else:
-                fx, fy, fbw, fbh = plan.grid[:, s, f]
-                codes = codes_at(sums, x + fx, y + fy, fbw, fbh)
-            if wi == plan.sbound[si]:
-                acc = plan.votes[wi][codes]
-            else:
-                acc += plan.votes[wi][codes]
-            if not plan.wcheck[wi]:
-                continue
-            keep = _bound(acc, plan.vmax[wi + 1 : end]) >= plan.sthr[si]
-            if alive is None:
-                if keep.all():
-                    continue
-                alive = np.flatnonzero(keep)
-            else:
-                alive = alive[keep]
-            acc = acc[keep]
-            if x is None:  # leaving the dense read: the band survivors' origins
-                iy, ix = np.divmod(alive, nx)
-                x, y = ix * stride, (top + iy) * stride
-            else:
-                x, y = x[keep], y[keep]
-                if np.ndim(s):
-                    s = s[keep]
-            if alive.size == 0:
-                return alive
-    return alive
+    stride, nx = int(plan.stride[s]), int(plan.nx[s])
+    for wi in range(plan.dense):
+        fx, fy, fbw, fbh = plan.grid[:, s, plan.wfeat[wi]].tolist()
+        view = _corner_view(sums, fx, top * stride + fy, stride, stride, nx, rows, fbw, fbh)
+        v = plan.votes[wi][_codes(view).reshape(-1)]
+        acc = v if wi == 0 else acc + v
+    first = plan.start[s] + top * nx
+    if not plan.wcheck[plan.dense - 1]:
+        return first + np.arange(rows * nx), acc
+    keep = np.flatnonzero(_bound(acc, plan.vmax[plan.dense : plan.sbound[1]]) >= plan.sthr[0])
+    return first + keep, acc.take(keep)
 
 
-def _later_stages(sums, plan, idx, mask):
-    """Run stages 1+ over the stage-0 survivors idx, any scales, and mark
-    those that pass in the flat mask; chunks of at most SCAN_BAND_ORIGINS."""
-    for lo in range(0, idx.size, SCAN_BAND_ORIGINS):
-        chunk = idx[lo : lo + SCAN_BAND_ORIGINS]
-        alive = _pass(sums, plan, range(1, plan.sthr.size), *plan.origins(chunk))
-        mask[chunk if alive is None else chunk[alive]] = True
+def _dense_prefix(sums, plan):
+    """``_dense_band`` over every band of every lattice: bands of whole
+    rows, at most SCAN_BAND_ORIGINS origins (or one row). Yields the
+    survivors, scale-major, pooled until a pool holds SCAN_BAND_ORIGINS."""
+    pool, count = [], 0
+    for s in range(plan.stride.size):
+        nx, ny = int(plan.nx[s]), int(plan.ny[s])
+        if nx < 1:
+            continue  # no origins
+        rows = max(1, SCAN_BAND_ORIGINS // nx)
+        for top in range(0, ny, rows):
+            pool.append(_dense_band(sums, plan, s, top, min(rows, ny - top)))
+            count += pool[-1][0].size
+            if count >= SCAN_BAND_ORIGINS:
+                yield [np.concatenate(a) for a in zip(*pool)]
+                pool, count = [], 0
+    if pool:
+        yield [np.concatenate(a) for a in zip(*pool)]
+
+
+def _later_weaks(sums, plan, idx, acc):
+    """Flat positions of the windows at idx, any scales, that pass every
+    weak after the dense prefix: the rest of stage 0, from the partial
+    sums acc, then stages 1+. Each weak is one ``codes_at`` gather, with
+    block sizes per window from the plan.
+    """
+    s, x, y = plan.origins(idx)
+    for si in range(plan.sthr.size):
+        first, end = plan.sbound[si], plan.sbound[si + 1]
+        for wi in range(max(first, plan.dense), end):
+            fx, fy, fbw, fbh = plan.grid[:, :, plan.wfeat[wi]].take(s, axis=1)
+            v = plan.votes[wi][codes_at(sums, x + fx, y + fy, fbw, fbh)]
+            acc = v if wi == first else acc + v
+            if plan.wcheck[wi]:
+                keep = np.flatnonzero(_bound(acc, plan.vmax[wi + 1 : end]) >= plan.sthr[si])
+                idx, s, x, y, acc = (a.take(keep) for a in (idx, s, x, y, acc))
+                if not idx.size:
+                    return idx
+    return idx
 
 
 def scan_lattices(sums, plan: ScanPlan) -> np.ndarray:
     """Cascade acceptance over every lattice of a plan, vectorized numpy.
 
     Returns one flat bool mask over all scales' lattices (see ScanPlan);
-    True where every stage sum met its threshold. Stage 0 runs per scale
-    in bands of whole rows, at most SCAN_BAND_ORIGINS origins each (or one
-    row), and its survivors from every scale go on to the later stages
-    together.
+    True where every stage sum met its threshold. The dense prefix's
+    survivors run the later weaks in chunks of at most GATHER_CHUNK.
     """
     mask = np.zeros(int(plan.start[-1]), dtype=bool)
-    pending, count = [], 0
-    for s in range(plan.stride.size):
-        nx, ny, first = int(plan.nx[s]), int(plan.ny[s]), int(plan.start[s])
-        if nx < 1:
-            continue  # no origins
-        rows = max(1, SCAN_BAND_ORIGINS // nx)
-        for top in range(0, ny, rows):
-            band = min(rows, ny - top)
-            alive = _pass(sums, plan, range(1), s, None, None, (top, band))
-            pending.append(first + top * nx + (np.arange(band * nx) if alive is None else alive))
-            count += pending[-1].size
-            if count >= SCAN_BAND_ORIGINS:
-                _later_stages(sums, plan, np.concatenate(pending), mask)
-                pending, count = [], 0
-    if count:
-        _later_stages(sums, plan, np.concatenate(pending), mask)
+    for idx, acc in _dense_prefix(sums, plan):
+        for lo in range(0, idx.size, GATHER_CHUNK):
+            chunk = slice(lo, lo + GATHER_CHUNK)
+            mask[_later_weaks(sums, plan, idx[chunk], acc[chunk])] = True
     return mask
-

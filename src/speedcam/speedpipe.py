@@ -244,20 +244,28 @@ def finalize(
     """Median the closed windows and convert to metric units.
 
     Works over however many windows closed (a vehicle may leave frame
-    before the session completes); zero closed windows is an error.
+    before the session completes); zero closed windows is an error, and so
+    is a coefficient that makes a reported value not finite.
     """
     if not session.window_speeds:
         raise InsufficientDataError("no closed windows to estimate from")
     med = median(session.window_speeds)
     m_s = med / cal.px_per_m
     km_h = 3.6 * m_s
+    if not math.isfinite(km_h):
+        raise ConfigError(f"calibration pxPerM {cal.px_per_m} gives a speed of {km_h} km/h")
+    app_reading = legacy_coefficient * med
+    if not math.isfinite(app_reading):
+        raise ConfigError(
+            f"legacy coefficient {legacy_coefficient} gives an app reading of {app_reading}"
+        )
     return SpeedEstimate(
         median_px_s=med,
         window_speeds_px_s=tuple(session.window_speeds),
         m_s=m_s,
         km_h=km_h,
         mi_h=km_h / KM_PER_MI,
-        app_reading=legacy_coefficient * med,
+        app_reading=app_reading,
         legacy_coefficient=legacy_coefficient,
         calibration=cal,
     )

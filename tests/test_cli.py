@@ -559,6 +559,67 @@ def test_speed_refuses_calibration_fields_of_another_json_type(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("frame", [640.5, 360], 'field "frame"[0] must be an integer'),
+        ("pxPerM", 0, "pxPerM must be finite and positive, got 0.0"),
+    ],
+)
+def test_speed_calibration_errors_name_the_file(workflow, capsys, tmp_path, key, value, message):
+    cal = speedpipe.calibrate(300.0, 3.0, 10.0, (640, 360)).to_doc()
+    cal_path = tmp_path / "cal.json"
+    cal_path.write_text(json.dumps({**cal, key: value}))
+    base = ["speed", "--frames", str(workflow.seq), "--model", str(workflow.model)]
+    capsys.readouterr()
+    assert run(base + ["--calibration", str(cal_path)] + _det_args(workflow.case.params)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: calibration {cal_path}: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--px-per-m", "1e-320"], "calibration pxPerM 1e-320"),
+        (["--px-per-m", "100", "--legacy-coeff", "nan"], "legacy coefficient nan"),
+    ],
+    ids=["px-per-m", "legacy-coeff"],
+)
+@pytest.mark.parametrize("capture", [False, True], ids=["print", "capture"])
+def test_speed_refuses_an_estimate_that_is_not_finite(
+    workflow, capsys, tmp_path, flags, named, capture
+):
+    # each flag is accepted on its own, but its product with the median
+    # speed is infinite or NaN, which JSON cannot hold
+    argv = ["speed", "--frames", str(workflow.seq), "--model", str(workflow.model), *flags]
+    if capture:
+        argv += ["--capture", "--store", str(tmp_path / "store"), "--record-unit", "m-s"]
+    capsys.readouterr()
+    assert run(argv + _det_args(workflow.case.params)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {named} gives ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "store").exists() or not list((tmp_path / "store").iterdir())
+
+
+@pytest.mark.parametrize("command", ["detect", "speed"])
+def test_a_manifest_that_names_no_frames_is_an_error(workflow, capsys, tmp_path, command):
+    seq = tmp_path / "seq"
+    seq.mkdir()
+    (seq / imaging.MANIFEST_NAME).write_text("\n")
+    frame = imaging.Frame(8, 8, np.zeros((8, 8), np.uint8))
+    (seq / "frame_00000.pgm").write_bytes(imaging.save_pgm(frame))  # not named
+    argv = [command, "--frames", str(seq), "--model", str(workflow.model)]
+    if command == "speed":
+        argv += ["--px-per-m", "100"]
+    capsys.readouterr()
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {seq / imaging.MANIFEST_NAME} names no frames\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "0", "-5", "inf"])
 def test_speed_px_per_m_refusal_names_the_flag(workflow, capsys, value):
     base = ["speed", "--frames", str(workflow.seq), "--model", str(workflow.model)]

@@ -1,5 +1,7 @@
 """The array kernels against the scalar reference in mblbp."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -378,8 +380,8 @@ def test_scan_lattices_bands_equal_one_band(monkeypatch, rows):
     assert gathered == [sum(survivors)]
 
 
-def _counted_scan(monkeypatch, ii, model):
-    """scan_lattices over the patch lattice, with the origins of each codes_at call."""
+def _count_codes_at(monkeypatch):
+    """Count codes_at calls: the returned list collects the origins (x, y) of each."""
     calls = []
     codes_at = kernels.codes_at
 
@@ -388,7 +390,14 @@ def _counted_scan(monkeypatch, ii, model):
         return codes_at(sums, x, y, bw, bh)
 
     monkeypatch.setattr(kernels, "codes_at", counted)
-    return _scan_lattice(ii, model, *_patch_lattice()), calls
+    return calls
+
+
+def _counted_scan(monkeypatch, ii, model, lattice=None):
+    """scan_lattices over a lattice (the patch lattice by default), with the
+    origins of each codes_at call."""
+    calls = _count_codes_at(monkeypatch)
+    return _scan_lattice(ii, model, *(lattice or _patch_lattice())), calls
 
 
 def test_scan_lattices_scores_later_weaks_on_survivors_only(monkeypatch):
@@ -432,6 +441,114 @@ def test_scan_lattices_reads_a_stage_densely_until_a_check_drops_an_origin(monke
     assert np.array_equal(got, want)
     assert 0 < want.sum() < want.size
     assert calls == []
+
+
+def test_scan_lattices_gathers_a_later_weak_once_over_every_scale(monkeypatch):
+    ii, model = _patch_scan_case()
+    # weak 0 is stage 0's first check; weak 1, after it, holds every code
+    weak0 = mblbp.WeakClassifier(0, model.stages[0].weaks[0].subset, 1.0, -1.0)
+    other = mblbp.WeakClassifier(1, (2**32 - 1,) * 8, 1.0, -1.0)
+    feats = (model.features[0], mblbp.MbLbpFeature(2, 0, 3, 2))
+    model = mblbp.CascadeModel(feats, (mblbp.Stage(2.0, (weak0, other)),), 20, 10)
+    # the same geometry at strides 2 and 1: the patch origin lies on both
+    lattices = [_patch_lattice(), (1, 60 - 13 + 1, 40 - 7 + 1)]
+    grid = np.stack(mblbp.scaled_feature_arrays(feats, np.ones(2)))
+    plan = kernels.ScanPlan(model, *(np.array(v, np.int64) for v in zip(*lattices)), grid)
+    assert plan.wcheck.tolist() == [True, True]
+    hits = [
+        [
+            (x, y)
+            for y in range(0, ny * stride, stride)
+            for x in range(0, nx * stride, stride)
+            if mblbp.eval_weak(ii, weak0, model, (x, y)) == 1.0
+        ]
+        for stride, nx, ny in lattices
+    ]
+    assert all(0 < len(h) < nx * ny for h, (_, nx, ny) in zip(hits, lattices))
+    calls = _count_codes_at(monkeypatch)
+    got = kernels.scan_lattices(ii, plan)
+    # one gather over the survivors of both scales, scale-major
+    assert len(calls) == 1
+    x, y = calls[0]
+    assert list(zip((x - 2).tolist(), y.tolist())) == hits[0] + hits[1]
+    s, gx, gy = plan.origins(np.flatnonzero(got))
+    assert list(zip(gx.tolist(), gy.tolist())) == hits[0] + hits[1]
+    assert np.bincount(s).tolist() == [len(h) for h in hits]
+
+
+def test_scan_lattices_gathers_the_rest_of_stage_0_after_a_band_that_drops_nothing(monkeypatch):
+    # the top rows are flat, and every flat grid's code (255) passes weak 0;
+    # the bottom rows are noise, where weak 0 drops some windows
+    rng = np.random.default_rng(15)
+    px = np.full((40, 60), 128, np.uint8)
+    px[20:] = rng.integers(0, 256, (20, 60), np.uint8)
+    ii = imaging.integral(Frame(60, 40, px))
+    feats = (mblbp.MbLbpFeature(0, 0, 2, 2), mblbp.MbLbpFeature(1, 1, 1, 1))
+    high = mblbp.subset_from_codes(c for c in range(256) if c & 128)
+    odd = mblbp.subset_from_codes(c for c in range(256) if c & 1)
+    weaks = (mblbp.WeakClassifier(0, high, 1.0, -1.0), mblbp.WeakClassifier(1, odd, 1.0, -1.0))
+    model = mblbp.CascadeModel(feats, (mblbp.Stage(0.5, weaks),), 6, 6)
+    stride, nx, ny = 2, (60 - 6) // 2 + 1, (40 - 6) // 2 + 1
+    xs, ys = range(0, nx * stride, stride), range(0, ny * stride, stride)
+    first = np.array(
+        [[mblbp.eval_weak(ii, weaks[0], model, (x, y)) == 1.0 for x in xs] for y in ys]
+    )
+    want = np.array([[mblbp.eval_window(ii, model, (x, y)) for x in xs] for y in ys])
+    # bands of 4 rows: the first two are flat, the later ones lose windows
+    monkeypatch.setattr(kernels, "SCAN_BAND_ORIGINS", 4 * nx)
+    assert first[:8].all() and not first[8:].all()
+    got, calls = _counted_scan(monkeypatch, ii, model, (stride, nx, ny))
+    assert np.array_equal(got, want)
+    assert 0 < want.sum() < first.sum()
+    # weak 1 reads every window that passed weak 0, the flat bands' too
+    assert sum(x.size for x, _ in calls) == first.sum()
+
+
+@pytest.mark.parametrize(
+    "n_weaks, threshold, checks, dense",
+    [
+        (6, -1.0, [False] * 3 + [True] * 3, 4),  # the shape of crowd's stage 0
+        (2, 0.5, [True, True], 1),  # track's: its first weak can fail a window
+        (6, -7.0, [False] * 6, 6),  # no weak can fail: all of stage 0
+    ],
+    ids=["crowd", "track", "none"],
+)
+def test_scan_plan_reads_stage_0_densely_through_its_first_check(n_weaks, threshold, checks, dense):
+    # votes of +1 or -1: the bound after weak k is -(k + 1) + (n_weaks - 1 - k)
+    weak = mblbp.WeakClassifier(0, (1,) + (0,) * 7, 1.0, -1.0)
+    stages = (mblbp.Stage(threshold, (weak,) * n_weaks), mblbp.Stage(0.5, (weak,)))
+    model = mblbp.CascadeModel((mblbp.MbLbpFeature(0, 0, 1, 1),), stages, 3, 3)
+    plan = _lattice_plan(model, 1, 1, 1)
+    assert plan.wcheck[:n_weaks].tolist() == checks
+    assert plan.dense == dense
+
+
+def test_scan_lattices_gathers_in_chunks_when_every_window_survives_the_first_check():
+    # a flat frame: weak 0 accepts every window's code, 255, so the later
+    # weaks gather all 298 x 298 windows
+    ii = imaging.integral(Frame(300, 300, np.full((300, 300), 9, np.uint8)))
+    feats = (mblbp.MbLbpFeature(0, 0, 1, 1),)
+    weak = mblbp.WeakClassifier(0, mblbp.subset_from_codes([255]), 1.0, -1.0)
+
+    def peak(stages):
+        model = mblbp.CascadeModel(feats, stages, 3, 3)
+        plan = _lattice_plan(model, 1, 298, 298)
+        assert plan.dense == 1
+        tracemalloc.start()
+        try:
+            mask = kernels.scan_lattices(ii, plan)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mask.all()
+        return top
+
+    prefix = peak((mblbp.Stage(0.5, (weak,)),))
+    later = peak((mblbp.Stage(2.5, (weak,) * 3), mblbp.Stage(0.5, (weak,))))
+    # a gather holds (4, 4, n) int64 indices and corners, (3, 3, n) int64
+    # blocks and (4, n) int64 rows and columns: under 512 bytes a window
+    assert later - prefix < kernels.GATHER_CHUNK * 512
+    assert kernels.GATHER_CHUNK * 512 < 298 * 298 * 256
 
 
 def _one_bit_grids():
