@@ -102,7 +102,7 @@ def cmd_synth(args, clock):
         patch=imaging.Rect(*args.patch),
         velocity=tuple(args.velocity),
         n_frames=args.frames,
-        frame_interval_ms=1000.0 / args.fps,
+        frame_interval_ms=1000.0 / imaging.finite_positive("--fps", args.fps),
         texture_seed=args.seed,
         background=args.background,
     )

@@ -162,7 +162,7 @@ def _build_plan(model, params, width, height) -> ScanPlan:
 def scan(frame: Frame, model: CascadeModel, params: DetectorParams) -> list[Rect]:
     """All window rects the cascade accepts, scale-major then row-major."""
     plan = scan_plan(model, params, frame.width, frame.height)
-    idx = np.flatnonzero(kernels.scan_impl()(integral(frame), plan))
+    idx = np.flatnonzero(kernels.scan_impl()(integral(frame, kernels.TABLE_DTYPE), plan))
     s, x, y = plan.origins(idx)
     return [
         Rect(*r)

@@ -22,6 +22,9 @@ from speedcam.errors import (
     write_file,
 )
 
+# largest frame side. The scan's uint32 prefix tables rest on it: a 3x3
+# block grid lies inside its frame, so a block holds at most
+# (MAX_DIM // 3) ** 2 pixels, and 255 times that is below 2**32
 MAX_DIM = 8192
 
 MANIFEST_NAME = "manifest.tsv"
@@ -35,6 +38,18 @@ def round_half_up(x: float) -> int:
     rounding is deliberately not used.
     """
     return int(math.floor(x + 0.5))
+
+
+def finite_positive(name: str, value: float) -> float:
+    """value, when it is a finite number above zero; else a ConfigError naming it.
+
+    The rule for a frame rate or frame interval from outside: a zero one
+    divides by zero, and a NaN or infinite one gives timestamps that
+    cannot be rounded.
+    """
+    if not 0.0 < value < math.inf:  # false for NaN too
+        raise ConfigError(f"{name} {value} must be finite and positive")
+    return value
 
 
 @dataclass(eq=False)
@@ -150,35 +165,47 @@ def save_pgm(frame: Frame) -> bytes:
     return header + frame.pixels.tobytes()
 
 
-def prefix_sums(pixels: np.ndarray) -> np.ndarray:
-    """Read-only int64 prefix sums over the two leading axes of pixels.
+def prefix_sums(pixels: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """Read-only prefix sums over the two leading axes of pixels.
 
     pixels is a (h, w, *trailing) uint8 array; the table is shaped
     (h+1, w+1, *trailing), and sums[r, c, ...] is the sum of pixels[:r, :c, ...],
     so any rectangle sum takes four lookups. A stack of frames on the last
     axis gives one table per frame, each equal to that frame's ``integral``.
+
+    The sums are taken in dtype. An int64 table holds every sum exactly. A
+    uint32 table wraps mod 2**32, and a rectangle sum from four of its
+    entries, taken in uint32, is exact whenever the true sum is below
+    2**32, that is for any rectangle of at most 2**32 // 255 pixels.
     """
     h, w, *trailing = pixels.shape
-    sat = np.zeros((h + 1, w + 1, *trailing), dtype=np.int64)
+    sat = np.zeros((h + 1, w + 1, *trailing), dtype=dtype)
     body = sat[1:, 1:]
-    # widen first: a cumsum from uint8 into int64 casts through a buffer
+    # widen first: a cumsum from uint8 into the table's dtype casts through a buffer
     body[...] = pixels
-    np.cumsum(body, axis=0, out=body)
-    np.cumsum(body, axis=1, out=body)
+    np.cumsum(body, axis=0, dtype=dtype, out=body)
+    np.cumsum(body, axis=1, dtype=dtype, out=body)
     sat.setflags(write=False)
     return sat
 
 
-def integral(frame: Frame) -> np.ndarray:
-    """The read-only (h+1, w+1) int64 prefix-sum table of a frame.
+def integral(frame: Frame, dtype=np.int64) -> np.ndarray:
+    """The read-only (h+1, w+1) prefix-sum table of a frame, in dtype.
 
-    sums[r, c] is the sum of the pixels in rows [0, r) and columns [0, c).
+    sums[r, c] is the sum of the pixels in rows [0, r) and columns [0, c),
+    mod 2**32 in a uint32 table (see ``prefix_sums``).
     """
-    return prefix_sums(frame.pixels)
+    return prefix_sums(frame.pixels, dtype)
 
 
 def rect_sum(s: np.ndarray, r: Rect) -> int:
-    """Exact pixel sum inside r from four lookups in the prefix table s."""
+    """Exact pixel sum inside r from four lookups in the int64 prefix table s.
+
+    Any other table is a ConfigError: a rect can hold more than 2**32 // 255
+    pixels, past what a wrapping uint32 table sums exactly.
+    """
+    if s.dtype != np.int64:
+        raise ConfigError(f"rect_sum reads an int64 prefix table, not {s.dtype}")
     height, width = s.shape[0] - 1, s.shape[1] - 1
     if r.w < 1 or r.h < 1 or r.x < 0 or r.y < 0:
         raise BoundsError(f"rect {r} is empty or has a negative corner")
@@ -206,6 +233,18 @@ class SynthConfig:
     frame_interval_ms: float = 1000.0 / 30.0
     texture_seed: int = 0
     background: int = 8
+
+    def __post_init__(self):
+        finite_positive("frame_interval_ms", self.frame_interval_ms)
+        # the last frame's patch origin and time bound every earlier frame's
+        last = self.n_frames - 1
+        vx, vy = self.velocity
+        ends = (self.patch.x + last * vx, self.patch.y + last * vy, last * self.frame_interval_ms)
+        if not all(map(math.isfinite, ends)):
+            raise ConfigError(
+                f"velocity {self.velocity} px/frame at {self.frame_interval_ms} ms over "
+                f"{self.n_frames} frames must keep every patch origin and timestamp finite"
+            )
 
     def ground_truth_px_s(self) -> float:
         vx, vy = self.velocity
@@ -330,10 +369,14 @@ def read_sequence(directory, fps: float | None = None) -> list[Frame]:
         names = sorted(p.name for p in directory.glob("*.pgm"))
         if not names:
             raise FormatError(f"no .pgm files in {directory}")
-        if fps is None or fps <= 0:
+        if fps is None:
             raise ConfigError(
                 f"{directory} has no {MANIFEST_NAME}; a positive fps is required"
             )
+        finite_positive("fps", fps)
+        # the last frame's time bounds every earlier frame's
+        if not math.isfinite((len(names) - 1) * 1000.0 / fps):
+            raise ConfigError(f"fps {fps} puts frame {len(names) - 1} at no finite time")
         entries = [(name, round_half_up(k * 1000.0 / fps)) for k, name in enumerate(names)]
 
     frames = []

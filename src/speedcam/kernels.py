@@ -25,16 +25,29 @@ strided view of the prefix table (``_corner_view``), with no index array
 and no gather. ``dense`` ends at stage 0's first weak that can fail a
 window, or with the stage; the model alone decides it. The check after
 it runs, and each survivor keeps its flat mask position and partial sum.
-A scale runs in bands of whole rows of at most ``SCAN_BAND_ORIGINS``
-origins, which bounds the block temporaries on large frames. Second, the
-survivors of every band and scale, scale-major then row-major, run every
-later weak together: the rest of stage 0, then stages 1+. Each weak is
-one ``codes_at`` call per chunk of at most ``GATHER_CHUNK`` windows, with
+A scale runs in bands of whole rows of at most ``SCAN_CHUNK`` origins,
+which bounds the block temporaries. Second, the survivors of every band
+and scale, scale-major then row-major, are pooled and handed on in
+chunks of exactly ``SCAN_CHUNK`` windows (a frame's last chunk may be
+short), and each chunk runs every later weak together: the rest of stage
+0, then stages 1+. Each weak is one ``codes_at`` call per chunk, with
 block sizes per window from the plan. The result is one flat mask over
 all scales' lattices. The trainer's ``codes_stack`` reads its corners
 through the same view, over a stack of sample tables on a trailing axis:
 the prefix table is (h+1, w+1, n_samples), so every loop of ``_codes``
 runs over contiguous samples.
+
+The scan and the trainer read ``TABLE_DTYPE`` (uint32) prefix tables,
+built by wrapping cumulative sums (``imaging.prefix_sums``). Every entry
+is the true prefix sum mod 2**32, and so is any sum or difference of
+entries taken in uint32. A block sum is four entries; its true value is
+at most 255 times the block's pixel count, and a 3x3 grid lies inside its
+frame, whose sides are at most ``imaging.MAX_DIM`` (8192). So a block
+holds at most 2730 x 2730 pixels, its sum is below 255 x 7.45M = 1.9e9 <
+2**32, and the wrapped sum equals the true one: the codes are the codes
+of an int64 table, for every frame the program accepts. ``_codes`` takes
+the row strips of each grid first and the blocks from them, 21 array
+operations in place of 27. The kernels read int64 tables as well.
 
 A ``ScanPlan`` is built from the model and the lattices alone: it derives
 the flattened model arrays the hot loop reads, once, so that they always
@@ -66,18 +79,21 @@ _BIT_WEIGHTS = np.array([128, 64, 32, 1, 0, 16, 2, 4, 8], dtype=np.uint8)[:, Non
 # grid row and column numbers of the 4x4 prefix-table corners
 _GRID = np.arange(4)
 
-# origins per scan band: a 640x360 frame at stride 2 is one band, and the
-# (3, 3, rows, nx) int64 block temporaries of a band stay near 5 MB each
-SCAN_BAND_ORIGINS = 1 << 16
+# the prefix-table dtype of the scan and the trainer: exact for every block
+# of a frame within imaging.MAX_DIM (module docstring), at half int64's bytes
+TABLE_DTYPE = np.uint32
 
-# windows per later-weak gather: a chunk's (4, 4, n) index and corner
-# temporaries stay within a full dense band's and in cache. On crowd, 65,536
-# raised peak RSS by about 3 MB, and 4,096 was slower for its extra calls
-GATHER_CHUNK = 1 << 13
+# windows per scan chunk: a dense band holds at most this many origins (or
+# one row), and the survivor pool hands each later-weak gather this many but
+# a frame's last. With 4-byte tables, bands of 65,536 origins made glibc trim
+# the heap and fault it back in on every track frame; gathers of 4,096 were
+# slower for their extra calls
+SCAN_CHUNK = 1 << 13
 
-# bytes ``_codes`` holds per grid at its peak: the (3, 3) int64 block sums,
-# their bool comparison, the weighted uint8 bits and the code
-CODE_TEMP_BYTES = 9 * 8 + 9 + 9 + 1
+# bytes ``_codes`` holds per grid at its peak over a uint32 table: the
+# (3, 4) row strips and (3, 3) block sums, then the blocks with their bool
+# comparison and the weighted uint8 bits (measured with tracemalloc)
+CODE_TEMP_BYTES = 12 * 4 + 9 * 4
 
 # ceiling on the ``_codes`` temporaries of ``codes_stack``: each block-size
 # plane runs in chunks of samples that stay within it
@@ -100,7 +116,9 @@ def _codes(corners: np.ndarray) -> np.ndarray:
     corners[i, j] is the prefix sum at grid row i, column j of the 3x3
     block grid; the trailing axes index independent grids.
     """
-    blocks = corners[1:, 1:] - corners[:-1, 1:] - corners[1:, :-1] + corners[:-1, :-1]
+    strips = corners[1:] - corners[:-1]  # (3, 4, ...): each block row's prefix sums
+    blocks = strips[:, 1:] - strips[:, :-1]
+    del strips  # freed before the comparison: CODE_TEMP_BYTES counts on it
     ge = (blocks >= blocks[1, 1]).reshape(9, -1)
     return (ge * _BIT_WEIGHTS).sum(axis=0, dtype=np.uint8).reshape(blocks.shape[2:])
 
@@ -300,21 +318,23 @@ def _dense_band(sums, plan, s, top, rows):
 
 def _dense_prefix(sums, plan):
     """``_dense_band`` over every band of every lattice: bands of whole
-    rows, at most SCAN_BAND_ORIGINS origins (or one row). Yields the
-    survivors, scale-major, pooled until a pool holds SCAN_BAND_ORIGINS."""
+    rows, at most SCAN_CHUNK origins (or one row). Yields the survivors,
+    scale-major, in chunks of exactly SCAN_CHUNK windows but the last, so
+    that every gather but a frame's last is a full one."""
     pool, count = [], 0
     for s in range(plan.stride.size):
         nx, ny = int(plan.nx[s]), int(plan.ny[s])
         if nx < 1:
             continue  # no origins
-        rows = max(1, SCAN_BAND_ORIGINS // nx)
+        rows = max(1, SCAN_CHUNK // nx)
         for top in range(0, ny, rows):
             pool.append(_dense_band(sums, plan, s, top, min(rows, ny - top)))
             count += pool[-1][0].size
-            if count >= SCAN_BAND_ORIGINS:
-                yield [np.concatenate(a) for a in zip(*pool)]
-                pool, count = [], 0
-    if pool:
+            while count >= SCAN_CHUNK:
+                idx, acc = (np.concatenate(a) for a in zip(*pool))
+                yield idx[:SCAN_CHUNK], acc[:SCAN_CHUNK]
+                pool, count = [(idx[SCAN_CHUNK:], acc[SCAN_CHUNK:])], count - SCAN_CHUNK
+    if count:
         yield [np.concatenate(a) for a in zip(*pool)]
 
 
@@ -344,11 +364,9 @@ def scan_lattices(sums, plan: ScanPlan) -> np.ndarray:
 
     Returns one flat bool mask over all scales' lattices (see ScanPlan);
     True where every stage sum met its threshold. The dense prefix's
-    survivors run the later weaks in chunks of at most GATHER_CHUNK.
+    survivors run the later weaks in chunks of SCAN_CHUNK.
     """
     mask = np.zeros(int(plan.start[-1]), dtype=bool)
     for idx, acc in _dense_prefix(sums, plan):
-        for lo in range(0, idx.size, GATHER_CHUNK):
-            chunk = slice(lo, lo + GATHER_CHUNK)
-            mask[_later_weaks(sums, plan, idx[chunk], acc[chunk])] = True
+        mask[_later_weaks(sums, plan, idx, acc)] = True
     return mask

@@ -123,9 +123,10 @@ def feature_count(window_w: int, window_h: int, stride: int = 1) -> int:
 def _cache_bytes(n_samples: int, n_features: int, window_w: int, window_h: int) -> int:
     """Bytes a cache over these samples and features holds at most, with the
     search arrays ``best_weak`` derives from it."""
-    # build_cache's int64 (h+1, w+1) prefix table of each sample, and the
-    # uint8 pixel stack it is summed from
-    per_sample = (window_h + 1) * (window_w + 1) * 8 + window_h * window_w
+    # build_cache's (h+1, w+1) prefix table of each sample, and the uint8
+    # pixel stack it is summed from
+    table_bytes = np.dtype(kernels.TABLE_DTYPE).itemsize
+    per_sample = (window_h + 1) * (window_w + 1) * table_bytes + window_h * window_w
     per_feature = n_samples * SAMPLE_FEATURE_BYTES + FEATURE_BYTES + SEARCH_FEATURE_BYTES
     # codes_stack's code-plane temporaries, held within one fixed budget
     return n_samples * per_sample + n_features * per_feature + kernels.CODES_STACK_BYTES
@@ -194,7 +195,7 @@ def build_cache(samples: list[TrainSample], features: list[MbLbpFeature]) -> Sam
                 f"does not match {w0}x{h0}"
             )
     _check_cache_size(len(samples), len(features), w0, h0)
-    table = prefix_sums(np.stack([s.window.pixels for s in samples], axis=-1))
+    table = prefix_sums(np.stack([s.window.pixels for s in samples], axis=-1), kernels.TABLE_DTYPE)
     codes = kernels.codes_stack(table, *scaled_feature_arrays(features, 1.0))
     positive = np.array([s.label == POSITIVE for s in samples], dtype=bool)
     return SampleCache(codes=codes, positive=positive)

@@ -953,6 +953,47 @@ def test_config_integer_past_the_digit_limit_is_kept_as_a_string(capsys, tmp_pat
     assert "invalid int value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, values",
+    [
+        ("--fps", ["0"]),
+        ("--fps", ["nan"]),
+        ("--fps", ["1e-320"]),
+        ("--velocity", ["nan", "0"]),
+        ("--velocity", ["inf", "0"]),
+    ],
+)
+def test_synth_refuses_a_rate_or_velocity_that_is_not_finite(capsys, tmp_path, flag, values):
+    argv = ["synth", "--out", str(tmp_path / "seq"), "--patch", "0", "0", "8", "8"]
+    capsys.readouterr()
+    assert run(argv + [flag, *values]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "seq").exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "speed"])
+@pytest.mark.parametrize("fps", ["nan", "1e-320", "inf", "0"])
+def test_a_sequence_without_manifest_refuses_a_rate_that_is_not_finite(
+    workflow, capsys, tmp_path, command, fps
+):
+    seq = tmp_path / "seq"
+    seq.mkdir()
+    frame = imaging.Frame(8, 8, np.zeros((8, 8), np.uint8))
+    for k in range(2):
+        (seq / f"frame_{k:05d}.pgm").write_bytes(imaging.save_pgm(frame))
+    argv = [command, "--frames", str(seq), "--model", str(workflow.model), "--fps", fps]
+    if command == "speed":
+        argv += ["--px-per-m", "100"]
+    capsys.readouterr()
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: fps {float(fps)}")
+    assert "Traceback" not in err
+
+
 def test_detect_without_manifest_or_fps_is_a_domain_error(workflow, capsys, tmp_path):
     seq = tmp_path / "seq"
     seq.mkdir()

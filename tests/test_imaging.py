@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_rect_sum
-from speedcam import imaging
+from speedcam import imaging, mblbp
 from speedcam.errors import BoundsError, ConfigError, FormatError, TimeOrderError
 from speedcam.imaging import Frame, Rect, round_half_up
 
@@ -117,6 +117,10 @@ def test_prefix_sums_of_a_stack_equal_each_frames_integral(shape):
     assert table.dtype == np.int64 and not table.flags.writeable
     for k, frame in enumerate(frames):
         assert table[..., k].tobytes() == imaging.integral(frame).tobytes()
+    # a uint32 table is the int64 one mod 2**32
+    narrow = imaging.prefix_sums(np.stack([f.pixels for f in frames], axis=-1), np.uint32)
+    assert narrow.dtype == np.uint32 and not narrow.flags.writeable
+    assert np.array_equal(narrow, table % 2**32)
 
 
 def test_rect_sum_bounds_errors():
@@ -127,6 +131,23 @@ def test_rect_sum_bounds_errors():
         imaging.rect_sum(ii, Rect(-1, 0, 2, 2))
     with pytest.raises(BoundsError):
         imaging.rect_sum(ii, Rect(3, 3, 2, 2))  # pokes past the edge
+    assert imaging.rect_sum(ii, Rect(0, 0, 4, 4)) == 16
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.int32, np.uint64, np.float64])
+def test_the_int64_readers_refuse_another_table(dtype):
+    ii = imaging.integral(Frame(4, 4, np.ones((4, 4), np.uint8)))
+    other = ii.astype(dtype)
+    unit = mblbp.MbLbpFeature(0, 0, 1, 1)
+    stage = mblbp.Stage(0.0, (mblbp.WeakClassifier(0, (0,) * 8, 1.0, 1.0),))
+    model = mblbp.CascadeModel((unit,), (stage,), 3, 3)
+    name = np.dtype(dtype).name
+    with pytest.raises(ConfigError, match=f"int64 prefix table, not {name}"):
+        imaging.rect_sum(other, Rect(0, 0, 4, 4))
+    with pytest.raises(ConfigError, match=name):
+        mblbp.lbp_code(other, unit, (0, 0))
+    with pytest.raises(ConfigError, match=name):
+        mblbp.eval_window(other, model, (0, 0))
     assert imaging.rect_sum(ii, Rect(0, 0, 4, 4)) == 16
 
 

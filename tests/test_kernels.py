@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speedcam import detector, imaging, kernels, mblbp, trainer
 from speedcam.errors import BoundsError
@@ -203,7 +205,7 @@ def _brute_force_scan(frame, model, params):
 @pytest.mark.parametrize("chunk", [None, 5])
 def test_scan_matches_eval_window_over_every_scale(monkeypatch, chunk):
     if chunk is not None:  # later stages then run over several chunks
-        monkeypatch.setattr(kernels, "SCAN_BAND_ORIGINS", chunk)
+        monkeypatch.setattr(kernels, "SCAN_CHUNK", chunk)
     rng = np.random.default_rng(31)
     # a 12x9 window scanned at 1.3^k (6 scales) over 60x40 frames
     params = detector.DetectorParams(min_size_fraction=0.225, scale_factor=1.3, stride_base=1)
@@ -363,7 +365,7 @@ def test_scan_lattices_bands_equal_one_band(monkeypatch, rows):
     assert whole[10, 15]  # origin (30, 20)
     survivors = [int(whole[top : top + rows].sum()) for top in range(0, whole.shape[0], rows)]
     assert 0 in survivors  # the flat rows above the patch make empty bands
-    monkeypatch.setattr(kernels, "SCAN_BAND_ORIGINS", rows * whole.shape[1])
+    monkeypatch.setattr(kernels, "SCAN_CHUNK", rows * whole.shape[1])
     gathered = []
     codes_at = kernels.codes_at
 
@@ -375,7 +377,7 @@ def test_scan_lattices_bands_equal_one_band(monkeypatch, rows):
     banded = _scan_lattice(ii, model, *lattice)
     assert np.array_equal(banded, whole)
     # stage 1 repeats stage 0 and runs once over the survivors of every band,
-    # which fit one chunk of SCAN_BAND_ORIGINS
+    # which fit one chunk of SCAN_CHUNK
     assert sum(survivors) <= rows * whole.shape[1]
     assert gathered == [sum(survivors)]
 
@@ -495,7 +497,7 @@ def test_scan_lattices_gathers_the_rest_of_stage_0_after_a_band_that_drops_nothi
     )
     want = np.array([[mblbp.eval_window(ii, model, (x, y)) for x in xs] for y in ys])
     # bands of 4 rows: the first two are flat, the later ones lose windows
-    monkeypatch.setattr(kernels, "SCAN_BAND_ORIGINS", 4 * nx)
+    monkeypatch.setattr(kernels, "SCAN_CHUNK", 4 * nx)
     assert first[:8].all() and not first[8:].all()
     got, calls = _counted_scan(monkeypatch, ii, model, (stride, nx, ny))
     assert np.array_equal(got, want)
@@ -545,10 +547,74 @@ def test_scan_lattices_gathers_in_chunks_when_every_window_survives_the_first_ch
 
     prefix = peak((mblbp.Stage(0.5, (weak,)),))
     later = peak((mblbp.Stage(2.5, (weak,) * 3), mblbp.Stage(0.5, (weak,))))
-    # a gather holds (4, 4, n) int64 indices and corners, (3, 3, n) int64
-    # blocks and (4, n) int64 rows and columns: under 512 bytes a window
-    assert later - prefix < kernels.GATHER_CHUNK * 512
-    assert kernels.GATHER_CHUNK * 512 < 298 * 298 * 256
+    # a gather holds (4, 4, n) int64 indices and corners, (3, 4, n) int64
+    # strips, (3, 3, n) int64 blocks and (4, n) int64 rows and columns:
+    # under 512 bytes a window
+    assert later - prefix < kernels.SCAN_CHUNK * 512
+    assert kernels.SCAN_CHUNK * 512 < 298 * 298 * 256
+
+
+def _wrapped(table, offset):
+    """table plus offset mod 2**32, as uint32: every block sum is unchanged."""
+    return (table.astype(np.uint64) + offset).astype(np.uint32)
+
+
+def test_a_table_that_wraps_past_2_32_gives_the_int64_codes_and_mask():
+    rng = np.random.default_rng(40)
+    frames = [Frame(60, 40, rng.integers(0, 256, (40, 60), np.uint8)) for _ in range(3)]
+    ii = imaging.integral(frames[0])
+    # entries from the center entry's value up wrap past 2**32 and those
+    # below it do not, so many blocks have corners on both sides of the wrap
+    k = int(ii[20, 30])
+    wrapped = _wrapped(ii, 2**32 - k)
+    assert np.array_equal(wrapped < 2**32 - k, ii >= k)  # the entries that wrapped
+    assert 0 < np.count_nonzero(ii >= k) < ii.size
+    gx, gy = np.meshgrid(np.arange(0, 46), np.arange(0, 32))
+    x, y = gx.reshape(-1), gy.reshape(-1)
+    for bw, bh in [(1, 1), (3, 2), (4, 3)]:
+        fits = (x + 3 * bw <= 60) & (y + 3 * bh <= 40)
+        assert np.array_equal(
+            kernels.codes_at(wrapped, x[fits], y[fits], bw, bh),
+            kernels.codes_at(ii, x[fits], y[fits], bw, bh),
+        )
+    outcomes = set()
+    for _ in range(8):
+        model = _random_model(rng)
+        want = _scan_lattice(ii, model, 2, 24, 16)
+        assert np.array_equal(_scan_lattice(wrapped, model, 2, 24, 16), want)
+        outcomes.update(np.unique(want).tolist())
+    assert outcomes == {False, True}
+    stack = imaging.prefix_sums(np.stack([f.pixels for f in frames], axis=-1))
+    feats = trainer.enumerate_features(12, 9)
+    arrays = mblbp.scaled_feature_arrays(feats, 1.0)
+    want = kernels.codes_stack(stack, *arrays)
+    assert np.array_equal(kernels.codes_stack(_wrapped(stack, 2**32 - k), *arrays), want)
+
+
+def test_max_dim_keeps_every_block_sum_below_2_32():
+    # a 3x3 grid lies inside its frame, so a block has at most a third of
+    # each side: raising MAX_DIM past this bound makes uint32 block sums wrap
+    assert 255 * (imaging.MAX_DIM // 3) ** 2 < 2**32
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(14, 40), st.integers(11, 30), st.integers(1, 3),
+    st.integers(0, 2**32 - 1), st.integers(1, 2**17),
+)
+def test_scan_mask_from_a_uint32_table_equals_the_int64_mask(width, height, stride, seed, k):
+    rng = np.random.default_rng(seed)
+    frame = Frame(width, height, rng.integers(0, 256, (height, width), np.uint8))
+    model = _random_model(rng, n_stages=int(rng.integers(1, 4)))
+    fx, fy, fbw, fbh = mblbp.scaled_feature_arrays(model.features, 1.0)
+    nx = (width - max(12, int(np.max(fx + 3 * fbw)))) // stride + 1
+    ny = (height - max(9, int(np.max(fy + 3 * fbh)))) // stride + 1
+    want = _scan_lattice(imaging.integral(frame), model, stride, nx, ny)
+    table = imaging.integral(frame, np.uint32)
+    assert table.dtype == np.uint32
+    assert np.array_equal(_scan_lattice(table, model, stride, nx, ny), want)
+    # offset by 2**32 - k, the entries from k up wrap past 2**32
+    assert np.array_equal(_scan_lattice(_wrapped(table, 2**32 - k), model, stride, nx, ny), want)
 
 
 def _one_bit_grids():

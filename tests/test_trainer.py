@@ -211,7 +211,7 @@ def test_cache_size_counts_each_samples_prefix_table(monkeypatch):
 def test_build_cache_peak_stays_within_the_counted_bytes():
     pos, neg = _window_heavy_samples()
     features = enumerate_features(60, 60, 60)
-    tables = 2000 * 61 * 61 * 8
+    tables = 2000 * 61 * 61 * 4
     tracemalloc.start()
     try:
         build_cache(pos + neg, features)
