@@ -329,7 +329,8 @@ def read_sequence(directory, fps: float | None = None) -> list[Frame]:
     """Load a frame sequence with timestamps from manifest.tsv or a uniform rate.
 
     Without a manifest, .pgm files are taken in lexicographic order and
-    timestamps are round(k * 1000/fps); fps is then required. A manifest
+    timestamps are round(k * 1000/fps); fps is then required, and a rate
+    that gives two frames the same timestamp is a ConfigError. A manifest
     name must be a bare file name in the directory: one that is absolute
     or has a directory part is a FormatError before any frame is read.
     """
@@ -378,6 +379,12 @@ def read_sequence(directory, fps: float | None = None) -> list[Frame]:
         if not math.isfinite((len(names) - 1) * 1000.0 / fps):
             raise ConfigError(f"fps {fps} puts frame {len(names) - 1} at no finite time")
         entries = [(name, round_half_up(k * 1000.0 / fps)) for k, name in enumerate(names)]
+        for (first, ts), (second, next_ts) in zip(entries, entries[1:]):
+            if next_ts == ts:
+                raise ConfigError(
+                    f"fps {fps:g} gives {first} and {second} the same whole-millisecond "
+                    f"timestamp {ts}; a rate above 1000 needs a {MANIFEST_NAME}"
+                )
 
     frames = []
     last_ts = -1

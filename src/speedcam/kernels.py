@@ -20,22 +20,34 @@ window is known from the model alone (``wcheck``), so the others get no
 check.
 
 A frame is scanned in two steps. First, per scale, each of stage 0's
-first ``dense`` weaks reads the 16 grid corners of every origin as one
-strided view of the prefix table (``_corner_view``), with no index array
-and no gather. ``dense`` ends at stage 0's first weak that can fail a
-window, or with the stage; the model alone decides it. The check after
-it runs, and each survivor keeps its flat mask position and partial sum.
-A scale runs in bands of whole rows of at most ``SCAN_CHUNK`` origins,
-which bounds the block temporaries. Second, the survivors of every band
-and scale, scale-major then row-major, are pooled and handed on in
-chunks of exactly ``SCAN_CHUNK`` windows (a frame's last chunk may be
-short), and each chunk runs every later weak together: the rest of stage
-0, then stages 1+. Each weak is one ``codes_at`` call per chunk, with
-block sizes per window from the plan. The result is one flat mask over
-all scales' lattices. The trainer's ``codes_stack`` reads its corners
-through the same view, over a stack of sample tables on a trailing axis:
-the prefix table is (h+1, w+1, n_samples), so every loop of ``_codes``
-runs over contiguous samples.
+first ``dense`` weaks reads the block sums of every origin densely, with
+no index array and no gather. ``dense`` ends at stage 0's first weak that
+can fail a window, or with the stage; the model alone decides it. The
+check after it runs, and each survivor keeps its flat mask position and
+partial sum. A scale runs in bands of whole rows of at most
+``BAND_CHUNKS * SCAN_CHUNK`` origins, which bounds the block temporaries.
+Second, the survivors of every band and scale, scale-major then
+row-major, are pooled and handed on in chunks of exactly ``SCAN_CHUNK``
+windows (a frame's last chunk may be short), and each chunk runs every
+later weak together: the rest of stage 0, then stages 1+. Each weak is
+one ``codes_at`` call per chunk, with block sizes per window from the
+plan. The result is one flat mask over all scales' lattices.
+
+A code is made in two steps: the (3, 3, ...) block sums of each grid,
+then the pattern (``_pattern``), which ``codes_at``, ``codes_stack`` and
+the dense bands share. The blocks come from one of two reads. The corner
+read takes the 16 grid corners of every origin as one strided view of
+the prefix table (``_corner_view``), and ``_blocks`` takes each grid's
+row strips first and the blocks from them: 21 array operations a grid,
+in place of 27. The lattice read (``_lattice_blocks``) builds a table of
+every block sum on the lattice that all blocks of a band's grids start
+on, in 3 array operations an entry, and views the band's (3, 3) block
+sums in it. The plan picks the lattice read for a (scale, dense weak)
+where that table has fewer than 7 entries a window, the corner read
+elsewhere. The trainer's ``codes_stack`` reads its corners through the
+same view, over a stack of sample tables on a trailing axis: the prefix
+table is (h+1, w+1, n_samples), so every loop runs over contiguous
+samples.
 
 The scan and the trainer read ``TABLE_DTYPE`` (uint32) prefix tables,
 built by wrapping cumulative sums (``imaging.prefix_sums``). Every entry
@@ -45,9 +57,18 @@ at most 255 times the block's pixel count, and a 3x3 grid lies inside its
 frame, whose sides are at most ``imaging.MAX_DIM`` (8192). So a block
 holds at most 2730 x 2730 pixels, its sum is below 255 x 7.45M = 1.9e9 <
 2**32, and the wrapped sum equals the true one: the codes are the codes
-of an int64 table, for every frame the program accepts. ``_codes`` takes
-the row strips of each grid first and the blocks from them, 21 array
-operations in place of 27. The kernels read int64 tables as well.
+of an int64 table, for every frame the program accepts. The same holds
+mod 2**16: a block of at most ``NARROW_PIXELS`` (257) pixels sums to at
+most 255 x 257 = 65,535 < 2**16, so its sum taken in uint16 from
+``sums.astype(np.uint16)``, the table mod 2**16, is exact. The scan makes
+that copy once per frame and reads the dense blocks that small from it.
+The kernels read int64 tables as well.
+
+The plan proves the bounds of the gathers: its ``reach`` is the frame
+size that holds every grid of every lattice, and ``scan_lattices``
+compares it with the table's shape once, so that ``codes_at`` skips its
+own check there. The dense reads keep theirs, a few comparisons of
+scalars per band and weak.
 
 A ``ScanPlan`` is built from the model and the lattices alone: it derives
 the flattened model arrays the hot loop reads, once, so that they always
@@ -63,8 +84,12 @@ agree with the model's votes and the loop never touches Python objects:
 * ``vmax, wcheck``      each weak's largest vote, and whether the bound
   after it can fall below the stage threshold
 * ``dense``             stage 0's weaks through its first checked one
+* ``reach``             (w, h): the smallest frame that holds every grid
+* ``lattice, narrow``   (n_scales, dense) bool: read a dense weak's blocks
+  through a lattice table, and from the uint16 table
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,12 +108,25 @@ _GRID = np.arange(4)
 # of a frame within imaging.MAX_DIM (module docstring), at half int64's bytes
 TABLE_DTYPE = np.uint32
 
-# windows per scan chunk: a dense band holds at most this many origins (or
-# one row), and the survivor pool hands each later-weak gather this many but
-# a frame's last. With 4-byte tables, bands of 65,536 origins made glibc trim
-# the heap and fault it back in on every track frame; gathers of 4,096 were
-# slower for their extra calls
+# windows per scan chunk: the survivor pool hands each later-weak gather
+# this many but a frame's last, and a dense band holds BAND_CHUNKS times
+# this many origins (or one row). Gathers of 4,096 were slower for their
+# extra calls
 SCAN_CHUNK = 1 << 13
+
+# scan chunks per dense band. A full gather holds 240 bytes a window at its
+# peak ((4, n) int64 rows and columns, the (4, 4, n) int64 index and the
+# corners it reads); a band origin at most 100, on the corner read of the
+# uint32 table: CODE_TEMP_BYTES, its float64 vote and its running sum. A
+# lattice table of under 7 entries a window holds less. So a band of two
+# chunks stays within a gather (all measured with tracemalloc). Bands of
+# 65,536 origins made glibc trim the heap and fault it back in on every
+# track frame
+BAND_CHUNKS = 2
+
+# the most pixels a block may hold for its sum to be read from a uint16 copy
+# of the prefix table: 255 * 257 = 2**16 - 1, so the sum is exact mod 2**16
+NARROW_PIXELS = 257
 
 # bytes ``_codes`` holds per grid at its peak over a uint32 table: the
 # (3, 4) row strips and (3, 3) block sums, then the blocks with their bool
@@ -110,33 +148,47 @@ def scan_impl():
     return scan_lattices
 
 
-def _codes(corners: np.ndarray) -> np.ndarray:
-    """uint8 pattern codes from prefix-table corners shaped (4, 4, ...).
+def _blocks(corners: np.ndarray) -> np.ndarray:
+    """(3, 3, ...) block sums from prefix-table corners shaped (4, 4, ...).
 
     corners[i, j] is the prefix sum at grid row i, column j of the 3x3
-    block grid; the trailing axes index independent grids.
+    block grid; the trailing axes index independent grids. The row strips
+    come first, 21 array operations in all; they are freed on return.
     """
     strips = corners[1:] - corners[:-1]  # (3, 4, ...): each block row's prefix sums
-    blocks = strips[:, 1:] - strips[:, :-1]
-    del strips  # freed before the comparison: CODE_TEMP_BYTES counts on it
+    return strips[:, 1:] - strips[:, :-1]
+
+
+def _pattern(blocks: np.ndarray) -> np.ndarray:
+    """uint8 pattern codes of 3x3 block sums shaped (3, 3, ...); the
+    trailing axes index independent grids."""
     ge = (blocks >= blocks[1, 1]).reshape(9, -1)
     return (ge * _BIT_WEIGHTS).sum(axis=0, dtype=np.uint8).reshape(blocks.shape[2:])
 
 
-def codes_at(sums: np.ndarray, x: np.ndarray, y: np.ndarray, bw, bh) -> np.ndarray:
+def _codes(corners: np.ndarray) -> np.ndarray:
+    """uint8 pattern codes from prefix-table corners shaped (4, 4, ...)."""
+    return _pattern(_blocks(corners))
+
+
+def codes_at(
+    sums: np.ndarray, x: np.ndarray, y: np.ndarray, bw, bh, checked: bool = True
+) -> np.ndarray:
     """Pattern codes of 3x3 block grids at many origins (vectorized).
 
     sums is a prefix table; x and y are equal-length origin arrays. The
     block size bw x bh is one for all grids, or arrays that broadcast
     against x and y, one size per grid. Returns uint8 codes. All 16
     corners of every grid come from one read of the flattened table; a
-    grid that leaves the table is a BoundsError.
+    grid that leaves the table is a BoundsError. A caller that has proven
+    every grid inside the table passes checked=False to skip the check:
+    ``scan_lattices`` does, after comparing the table with the plan's reach.
     """
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     h1, w1 = sums.shape
     # the flat read wraps across rows, so every grid must lie in the table
-    if x.size and (
+    if checked and x.size and (
         min(x.min(), y.min()) < 0
         or np.max(x + 3 * bw) >= w1
         or np.max(y + 3 * bh) >= h1
@@ -152,6 +204,19 @@ def codes_at(sums: np.ndarray, x: np.ndarray, y: np.ndarray, bw, bh) -> np.ndarr
     return _codes(sums.take(rows[:, None] + cols[None]))  # take reads the flattened table
 
 
+def _require_lattice(sums, x0, y0, sx, sy, nx, ny, bw, bh):
+    """BoundsError unless every grid of bw x bh blocks at the origins
+    (x0 + i*sx, y0 + j*sy), i < nx and j < ny, lies in the prefix table."""
+    h1, w1 = sums.shape[:2]
+    if (
+        min(x0, y0) < 0
+        or min(sx, sy, bw, bh) < 1
+        or x0 + (nx - 1) * sx + 3 * bw >= w1
+        or y0 + (ny - 1) * sy + 3 * bh >= h1
+    ):
+        raise BoundsError(f"a grid of {bw}x{bh} blocks leaves the {w1 - 1}x{h1 - 1} table")
+
+
 def _corner_view(sums, x0, y0, sx, sy, nx, ny, bw, bh) -> np.ndarray:
     """Read-only view of the 16 grid corners at every origin of a lattice.
 
@@ -162,19 +227,48 @@ def _corner_view(sums, x0, y0, sx, sy, nx, ny, bw, bh) -> np.ndarray:
     layout ``_codes`` takes. It reads raw memory, so a grid that leaves the
     table is a BoundsError.
     """
-    h1, w1 = sums.shape[:2]
-    if (
-        min(x0, y0) < 0
-        or min(sx, sy, bw, bh) < 1
-        or x0 + (nx - 1) * sx + 3 * bw >= w1
-        or y0 + (ny - 1) * sy + 3 * bh >= h1
-    ):
-        raise BoundsError(f"a grid of {bw}x{bh} blocks leaves the {w1 - 1}x{h1 - 1} table")
+    _require_lattice(sums, x0, y0, sx, sy, nx, ny, bw, bh)
     r0, r1, *trailing = sums.strides
     return np.lib.stride_tricks.as_strided(
         sums[y0:, x0:],
         shape=(4, 4, ny, nx, *sums.shape[2:]),
         strides=(bh * r0, bw * r1, sy * r0, sx * r1, *trailing),
+        writeable=False,
+    )
+
+
+def _corner_blocks(sums, x0, y0, stride, nx, ny, bw, bh) -> np.ndarray:
+    """The (3, 3, ny, nx) block sums of ``_lattice_blocks``, from the 16
+    corners of each grid (``_corner_view``)."""
+    return _blocks(_corner_view(sums, x0, y0, stride, stride, nx, ny, bw, bh))
+
+
+def _lattice_blocks(sums, x0, y0, stride, nx, ny, bw, bh) -> np.ndarray:
+    """Read-only (3, 3, ny, nx) view of the block sums of the grids of bw x
+    bh blocks at the origins (x0 + i*stride, y0 + j*stride), i < nx and
+    j < ny, over a 2-D prefix table.
+
+    The view reads a table of every block sum at (x0 + i*gx, y0 + j*gy),
+    gx = gcd(stride, bw) and gy = gcd(stride, bh): every block of every
+    grid starts on that lattice. Four strided views of the prefix table and
+    3 array operations make it. A grid that leaves the table is a
+    BoundsError.
+    """
+    _require_lattice(sums, x0, y0, stride, stride, nx, ny, bw, bh)
+    gx, gy = math.gcd(stride, bw), math.gcd(stride, bh)
+    # block origins run to the right and bottom blocks of the last grid
+    x1, y1 = x0 + (nx - 1) * stride + 2 * bw + 1, y0 + (ny - 1) * stride + 2 * bh + 1
+
+    def corner(dx, dy):
+        return sums[y0 + dy : y1 + dy : gy, x0 + dx : x1 + dx : gx]
+
+    table = corner(bw, bh) - corner(0, bh)
+    table -= corner(bw, 0) - corner(0, 0)
+    r0, r1 = table.strides
+    return np.lib.stride_tricks.as_strided(
+        table,
+        shape=(3, 3, ny, nx),
+        strides=(bh // gy * r0, bw // gx * r1, stride // gy * r0, stride // gx * r1),
         writeable=False,
     )
 
@@ -260,6 +354,9 @@ class ScanPlan:
     wcheck: np.ndarray = field(init=False)
     start: np.ndarray = field(init=False)  # (n_scales + 1,) int64
     dense: int = field(init=False)
+    reach: tuple = field(init=False)
+    lattice: np.ndarray = field(init=False)  # (n_scales, dense) bool
+    narrow: np.ndarray = field(init=False)  # (n_scales, dense) bool
 
     def __post_init__(self):
         stages = self.model.stages
@@ -278,11 +375,30 @@ class ScanPlan:
                 lo += vmin[k]
                 wcheck[k] = _bound(lo, vmax[k + 1 : sbound[si + 1]]) < thr
         checks = np.flatnonzero(wcheck[: sbound[1]])
+        wfeat = np.array([w.feature_index for w in weaks], dtype=np.int64)
+        dense = int(checks[0]) + 1 if checks.size else int(sbound[1])
+        fx, fy, fbw, fbh = self.grid
+        stride, nx, ny = (a[:, None] for a in (self.stride, self.nx, self.ny))
+        # the frame that holds every grid of every lattice; no grid starts
+        # left of or above its origin, as no feature anchor is negative
+        reach = [
+            int(np.max((n - 1) * stride + f + 3 * b, initial=0))
+            for n, f, b in ((nx, fx, fbw), (ny, fy, fbh))
+        ]
+        # per (scale, dense weak): read the block sums of a band from a
+        # lattice table where it has fewer than 7 entries a window (3
+        # operations an entry, against 21 a window from the corners)
+        bw, bh = fbw[:, wfeat[:dense]], fbh[:, wfeat[:dense]]
+        rows = np.minimum(ny, _band_rows(nx))
+        entries = (((nx - 1) * stride + 2 * bw) // np.gcd(stride, bw) + 1) * (
+            ((rows - 1) * stride + 2 * bh) // np.gcd(stride, bh) + 1
+        )
         derived = dict(
-            wfeat=np.array([w.feature_index for w in weaks], dtype=np.int64),
-            votes=votes, sbound=sbound, sthr=sthr, vmax=vmax, wcheck=wcheck,
+            wfeat=wfeat, votes=votes, sbound=sbound, sthr=sthr, vmax=vmax, wcheck=wcheck,
             start=np.concatenate([[0], np.cumsum(self.nx * self.ny)]),
-            dense=int(checks[0]) + 1 if checks.size else int(sbound[1]),
+            dense=dense, reach=tuple(reach),
+            lattice=entries < 7 * rows * nx,
+            narrow=bw * bh <= NARROW_PIXELS,
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -295,20 +411,37 @@ class ScanPlan:
         return s, ix * stride, iy * stride
 
 
-def _dense_band(sums, plan, s, top, rows):
+def _band_rows(nx):
+    """Rows of a dense band over a lattice nx origins wide: whole rows of at
+    most BAND_CHUNKS * SCAN_CHUNK origins, or one row."""
+    return np.maximum(1, BAND_CHUNKS * SCAN_CHUNK // np.maximum(nx, 1))
+
+
+def _band_blocks(sums, narrow, plan, s, wi, top, rows):
+    """(3, 3, rows, nx) block sums of stage 0's weak wi over rows top ..
+    top+rows-1 of scale s's lattice, read from the prefix table sums or its
+    uint16 copy narrow, through a lattice table or the corners, as the plan
+    chose."""
+    stride, nx = int(plan.stride[s]), int(plan.nx[s])
+    fx, fy, fbw, fbh = plan.grid[:, s, plan.wfeat[wi]].tolist()
+    table = narrow if plan.narrow[s, wi] else sums
+    read = _lattice_blocks if plan.lattice[s, wi] else _corner_blocks
+    return read(table, fx, top * stride + fy, stride, nx, rows, fbw, fbh)
+
+
+def _dense_band(sums, narrow, plan, s, top, rows):
     """Flat mask positions and partial sums of the origins in rows top ..
     top+rows-1 of scale s's lattice that pass stage 0's first
-    ``plan.dense`` weaks, each read through one corner view, and the check
-    after the last of them. A band is one call so that its arrays are freed
-    before the next band's are made: held across bands, they made the
+    ``plan.dense`` weaks, each read densely (``_band_blocks``), and the
+    check after the last of them. A band is one call so that its arrays are
+    freed before the next band's are made: held across bands, they made the
     allocator hand back and fault in again about 6 MB a frame on track.
     """
-    stride, nx = int(plan.stride[s]), int(plan.nx[s])
     for wi in range(plan.dense):
-        fx, fy, fbw, fbh = plan.grid[:, s, plan.wfeat[wi]].tolist()
-        view = _corner_view(sums, fx, top * stride + fy, stride, stride, nx, rows, fbw, fbh)
-        v = plan.votes[wi][_codes(view).reshape(-1)]
+        codes = _pattern(_band_blocks(sums, narrow, plan, s, wi, top, rows))
+        v = plan.votes[wi][codes.reshape(-1)]
         acc = v if wi == 0 else acc + v
+    nx = int(plan.nx[s])
     first = plan.start[s] + top * nx
     if not plan.wcheck[plan.dense - 1]:
         return first + np.arange(rows * nx), acc
@@ -316,19 +449,19 @@ def _dense_band(sums, plan, s, top, rows):
     return first + keep, acc.take(keep)
 
 
-def _dense_prefix(sums, plan):
-    """``_dense_band`` over every band of every lattice: bands of whole
-    rows, at most SCAN_CHUNK origins (or one row). Yields the survivors,
-    scale-major, in chunks of exactly SCAN_CHUNK windows but the last, so
-    that every gather but a frame's last is a full one."""
+def _dense_prefix(sums, narrow, plan):
+    """``_dense_band`` over every band of every lattice (``_band_rows``).
+    Yields the survivors, scale-major, in chunks of exactly SCAN_CHUNK
+    windows but the last, so that every gather but a frame's last is a
+    full one."""
     pool, count = [], 0
     for s in range(plan.stride.size):
         nx, ny = int(plan.nx[s]), int(plan.ny[s])
         if nx < 1:
             continue  # no origins
-        rows = max(1, SCAN_CHUNK // nx)
+        rows = int(_band_rows(nx))
         for top in range(0, ny, rows):
-            pool.append(_dense_band(sums, plan, s, top, min(rows, ny - top)))
+            pool.append(_dense_band(sums, narrow, plan, s, top, min(rows, ny - top)))
             count += pool[-1][0].size
             while count >= SCAN_CHUNK:
                 idx, acc = (np.concatenate(a) for a in zip(*pool))
@@ -349,7 +482,7 @@ def _later_weaks(sums, plan, idx, acc):
         first, end = plan.sbound[si], plan.sbound[si + 1]
         for wi in range(max(first, plan.dense), end):
             fx, fy, fbw, fbh = plan.grid[:, :, plan.wfeat[wi]].take(s, axis=1)
-            v = plan.votes[wi][codes_at(sums, x + fx, y + fy, fbw, fbh)]
+            v = plan.votes[wi][codes_at(sums, x + fx, y + fy, fbw, fbh, checked=False)]
             acc = v if wi == first else acc + v
             if plan.wcheck[wi]:
                 keep = np.flatnonzero(_bound(acc, plan.vmax[wi + 1 : end]) >= plan.sthr[si])
@@ -363,10 +496,17 @@ def scan_lattices(sums, plan: ScanPlan) -> np.ndarray:
     """Cascade acceptance over every lattice of a plan, vectorized numpy.
 
     Returns one flat bool mask over all scales' lattices (see ScanPlan);
-    True where every stage sum met its threshold. The dense prefix's
-    survivors run the later weaks in chunks of SCAN_CHUNK.
+    True where every stage sum met its threshold. A table smaller than the
+    plan's reach is a BoundsError, checked once here: the gathers after it
+    skip their own check. The dense prefix's survivors run the later weaks
+    in chunks of SCAN_CHUNK.
     """
+    (w, h), (h1, w1) = plan.reach, sums.shape
+    if w >= w1 or h >= h1:
+        raise BoundsError(f"the plan's grids reach {w}x{h}, past the {w1 - 1}x{h1 - 1} table")
+    # block sums of at most NARROW_PIXELS are exact mod 2**16 (module docstring)
+    narrow = sums.astype(np.uint16) if plan.narrow.any() else None
     mask = np.zeros(int(plan.start[-1]), dtype=bool)
-    for idx, acc in _dense_prefix(sums, plan):
+    for idx, acc in _dense_prefix(sums, narrow, plan):
         mask[_later_weaks(sums, plan, idx, acc)] = True
     return mask

@@ -994,6 +994,21 @@ def test_a_sequence_without_manifest_refuses_a_rate_that_is_not_finite(
     assert "Traceback" not in err
 
 
+def test_detect_at_a_rate_that_repeats_a_timestamp_is_one_error_line(workflow, capsys, tmp_path):
+    seq = tmp_path / "seq"
+    seq.mkdir()
+    frame = imaging.Frame(8, 8, np.zeros((8, 8), np.uint8))
+    for k in range(3):
+        (seq / f"f{k}.pgm").write_bytes(imaging.save_pgm(frame))
+    capsys.readouterr()
+    argv = ["detect", "--frames", str(seq), "--model", str(workflow.model), "--fps", "5000"]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: fps 5000 gives f0.pgm and f1.pgm the same")
+    assert "Traceback" not in err
+
+
 def test_detect_without_manifest_or_fps_is_a_domain_error(workflow, capsys, tmp_path):
     seq = tmp_path / "seq"
     seq.mkdir()

@@ -221,6 +221,18 @@ def test_sequence_without_manifest_needs_fps(tmp_path):
     assert frames[2].pixels[0, 0] == 2  # lexicographic order
 
 
+def test_a_rate_that_gives_two_frames_one_timestamp_is_a_config_error(tmp_path):
+    d = tmp_path / "seq"
+    d.mkdir()
+    for k in range(3):
+        (d / f"f{k}.pgm").write_bytes(imaging.save_pgm(Frame(2, 2, np.zeros((2, 2), np.uint8))))
+    # 5000 fps: f0 at 0 ms, f1 at round(0.2) = 0 ms
+    with pytest.raises(ConfigError, match=r"fps 5000 gives f0\.pgm and f1\.pgm the same"):
+        imaging.read_sequence(d, fps=5000)
+    # 1000 fps is the fastest rate whose frames all get distinct milliseconds
+    assert [f.timestamp_ms for f in imaging.read_sequence(d, fps=1000)] == [0, 1, 2]
+
+
 def test_sequence_manifest_errors(tmp_path, monkeypatch):
     d = tmp_path / "seq"
     d.mkdir()

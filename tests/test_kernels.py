@@ -366,12 +366,13 @@ def test_scan_lattices_bands_equal_one_band(monkeypatch, rows):
     survivors = [int(whole[top : top + rows].sum()) for top in range(0, whole.shape[0], rows)]
     assert 0 in survivors  # the flat rows above the patch make empty bands
     monkeypatch.setattr(kernels, "SCAN_CHUNK", rows * whole.shape[1])
+    monkeypatch.setattr(kernels, "BAND_CHUNKS", 1)  # bands of `rows` rows
     gathered = []
     codes_at = kernels.codes_at
 
-    def counted(sums, x, *rest):
+    def counted(sums, x, *rest, **kwargs):
         gathered.append(x.size)
-        return codes_at(sums, x, *rest)
+        return codes_at(sums, x, *rest, **kwargs)
 
     monkeypatch.setattr(kernels, "codes_at", counted)
     banded = _scan_lattice(ii, model, *lattice)
@@ -387,9 +388,9 @@ def _count_codes_at(monkeypatch):
     calls = []
     codes_at = kernels.codes_at
 
-    def counted(sums, x, y, bw, bh):
+    def counted(sums, x, y, *rest, **kwargs):
         calls.append((x, y))
-        return codes_at(sums, x, y, bw, bh)
+        return codes_at(sums, x, y, *rest, **kwargs)
 
     monkeypatch.setattr(kernels, "codes_at", counted)
     return calls
@@ -498,6 +499,7 @@ def test_scan_lattices_gathers_the_rest_of_stage_0_after_a_band_that_drops_nothi
     want = np.array([[mblbp.eval_window(ii, model, (x, y)) for x in xs] for y in ys])
     # bands of 4 rows: the first two are flat, the later ones lose windows
     monkeypatch.setattr(kernels, "SCAN_CHUNK", 4 * nx)
+    monkeypatch.setattr(kernels, "BAND_CHUNKS", 1)
     assert first[:8].all() and not first[8:].all()
     got, calls = _counted_scan(monkeypatch, ii, model, (stride, nx, ny))
     assert np.array_equal(got, want)
@@ -615,6 +617,149 @@ def test_scan_mask_from_a_uint32_table_equals_the_int64_mask(width, height, stri
     assert np.array_equal(_scan_lattice(table, model, stride, nx, ny), want)
     # offset by 2**32 - k, the entries from k up wrap past 2**32
     assert np.array_equal(_scan_lattice(_wrapped(table, 2**32 - k), model, stride, nx, ny), want)
+
+
+def _lattice_geometry(stride, mx, my, kx, ky):
+    """Block size whose gcd with the stride is the stride (m = True) or 1
+    (m = False) on each axis: k strides, plus one pixel where coprime."""
+    return stride * kx + (not mx), stride * ky + (not my)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 12), st.booleans(), st.booleans(), st.integers(1, 2), st.integers(1, 2),
+    st.integers(1, 4), st.integers(1, 4), st.integers(0, 3), st.integers(0, 2**32 - 1),
+)
+def test_lattice_blocks_give_the_codes_of_the_corner_view(
+    stride, mx, my, kx, ky, nx, ny, x0, seed
+):
+    bw, bh = _lattice_geometry(stride, mx, my, kx, ky)
+    gx, gy = np.gcd(stride, bw), np.gcd(stride, bh)
+    assert (gx == stride, gy == stride) == (mx or stride == 1, my or stride == 1)
+    width, height = x0 + (nx - 1) * stride + 3 * bw, 2 + (ny - 1) * stride + 3 * bh
+    rng = np.random.default_rng(seed)
+    ii = imaging.integral(Frame(width, height, rng.integers(0, 256, (height, width), np.uint8)))
+    want = kernels._codes(kernels._corner_view(ii, x0, 2, stride, stride, nx, ny, bw, bh))
+    blocks = kernels._lattice_blocks(ii, x0, 2, stride, nx, ny, bw, bh)
+    assert blocks.shape == (3, 3, ny, nx)
+    assert np.array_equal(kernels._pattern(blocks), want)
+    if bw * bh <= kernels.NARROW_PIXELS:
+        narrow = ii.astype(np.uint16)
+        got = kernels._pattern(kernels._lattice_blocks(narrow, x0, 2, stride, nx, ny, bw, bh))
+        assert np.array_equal(got, want)
+
+
+def _one_weak_plan(feature, window, accept, stride=1, nx=1, ny=1):
+    """A one-lattice plan of one weak that accepts the codes in accept."""
+    weak = mblbp.WeakClassifier(0, mblbp.subset_from_codes(accept), 1.0, -1.0)
+    model = mblbp.CascadeModel((feature,), (mblbp.Stage(0.5, (weak,)),), *window)
+    return _lattice_plan(model, stride, nx, ny)
+
+
+@pytest.mark.parametrize("bw, bh, narrow", [(257, 1, True), (129, 2, False)])
+def test_blocks_of_257_pixels_are_read_in_16_bits_and_of_258_in_32(bw, bh, narrow):
+    # the center block is 255s and its neighbours 254s: code 0. A 257-pixel
+    # block of 255s sums to 65,535, the largest uint16; 258 of them wrap it
+    px = np.full((3 * bh, 3 * bw), 254, np.uint8)
+    px[bh : 2 * bh, bw : 2 * bw] = 255
+    ii = imaging.integral(Frame(3 * bw, 3 * bh, px), kernels.TABLE_DTYPE)
+    feature = mblbp.MbLbpFeature(0, 0, bw, bh)
+    assert mblbp.lbp_code(imaging.integral(Frame(3 * bw, 3 * bh, px)), feature, (0, 0)) == 0
+    plan = _one_weak_plan(feature, (3 * bw, 3 * bh), [0])
+    assert plan.narrow.tolist() == [[narrow]]
+    assert kernels.scan_lattices(ii, plan).tolist() == [True]
+    # read mod 2**16, the 258-pixel center wraps below its neighbours
+    wrapped = kernels._pattern(
+        kernels._lattice_blocks(ii.astype(np.uint16), 0, 0, 1, 1, 1, bw, bh)
+    )
+    assert wrapped.tolist() == [[0 if narrow else 255]]
+
+
+@pytest.mark.parametrize("wrap", [2**16, 2**32])
+def test_dense_reads_of_a_table_that_wraps_give_the_int64_codes(wrap):
+    rng = np.random.default_rng(41)
+    ii = imaging.integral(Frame(80, 60, rng.integers(0, 256, (60, 80), np.uint8)))
+    # offset by wrap - k, the entries from k up pass the wrap; the uint16
+    # copy of either table wraps at 2**16 many times over
+    k = int(ii[10, 10])
+    assert 0 < np.count_nonzero(ii >= k) < ii.size and k < 2**16
+    table = _wrapped(ii, wrap - k)
+    narrow = table.astype(np.uint16)
+    for stride, bw, bh in [(1, 1, 1), (2, 4, 3), (3, 3, 5), (4, 8, 4), (5, 2, 2)]:
+        nx, ny = (80 - 3 * bw) // stride + 1, (60 - 3 * bh) // stride + 1
+        want = kernels._codes(kernels._corner_view(ii, 0, 0, stride, stride, nx, ny, bw, bh))
+        for sums in (table, narrow):
+            for read in (kernels._lattice_blocks, kernels._corner_blocks):
+                got = kernels._pattern(read(sums, 0, 0, stride, nx, ny, bw, bh))
+                assert np.array_equal(got, want), (stride, bw, bh, sums.dtype, read)
+    for _ in range(4):
+        model = _random_model(rng)
+        want = _scan_lattice(ii, model, 2, 30, 20)
+        assert np.array_equal(_scan_lattice(table, model, 2, 30, 20), want)
+
+
+@pytest.mark.parametrize("read", ["_lattice_blocks", "_corner_blocks"])
+@pytest.mark.parametrize(
+    "shift", [(-1, 0), (0, -2), (1, 0), (0, 1)], ids=["x<0", "y<0", "x+1", "y+1"]
+)
+def test_a_dense_band_that_leaves_the_table_is_a_bounds_error(read, shift):
+    ii = imaging.integral(Frame(40, 30, np.zeros((30, 40), np.uint8)), kernels.TABLE_DTYPE)
+    # stride 2, 2x3 blocks: the last grid, at (34, 21), ends at the table's
+    # edge, so a shift of one pixel right or down leaves it
+    read = getattr(kernels, read)
+    assert read(ii, 0, 1, 2, 18, 11, 2, 3).shape == (3, 3, 11, 18)
+    with pytest.raises(BoundsError):
+        read(ii, shift[0], 1 + shift[1], 2, 18, 11, 2, 3)
+
+
+def test_a_plan_for_a_larger_frame_than_the_table_is_a_bounds_error():
+    rng = np.random.default_rng(42)
+    model = _random_model(rng, window=(24, 12))
+    params = detector.DetectorParams()
+    plan = detector.scan_plan(model, params, 64, 40)
+    assert plan.reach[0] <= 64 and plan.reach[1] <= 40
+    frame = Frame(64, 40, rng.integers(0, 256, (40, 64), np.uint8))
+    kernels.scan_lattices(imaging.integral(frame, kernels.TABLE_DTYPE), plan)
+    for w, h in [(63, 40), (64, 39), (32, 20)]:
+        table = imaging.integral(Frame(w, h, frame.pixels[:h, :w]), kernels.TABLE_DTYPE)
+        with pytest.raises(BoundsError, match="past the"):
+            kernels.scan_lattices(table, plan)
+
+
+def test_a_dense_band_holds_no_more_than_a_full_gather():
+    # 22x20-pixel blocks at stride 3 (9 table entries a window, 440 pixels)
+    # take the corner read of the uint32 table, the costliest; 21x24 blocks
+    # take the lattice read, still of the uint32 table
+    stride, width, height = 3, 3 * 256 + 72, 3 * 128 + 72
+    rng = np.random.default_rng(43)
+    frame = Frame(width, height, rng.integers(0, 256, (height, width), np.uint8))
+    ii = imaging.integral(frame, kernels.TABLE_DTYPE)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return top
+
+    for bw, bh, lattice in [(22, 20, False), (21, 24, True)]:
+        plan = _one_weak_plan(
+            mblbp.MbLbpFeature(0, 0, bw, bh), (3 * bw, 3 * bh), [0], stride,
+            (width - 3 * bw) // stride + 1, (height - 3 * bh) // stride + 1,
+        )
+        assert plan.lattice.tolist() == [[lattice]] and plan.narrow.tolist() == [[False]]
+        nx = int(plan.nx[0])
+        rows = int(kernels._band_rows(nx))
+        assert kernels.BAND_CHUNKS * kernels.SCAN_CHUNK - nx < rows * nx <= plan.ny[0] * nx
+        band = peak(lambda: kernels._dense_band(ii, None, plan, 0, 0, rows))
+        # a full gather: one later weak over SCAN_CHUNK windows of the lattice
+        idx = rng.choice(rows * nx, kernels.SCAN_CHUNK, replace=False)
+        _, x, y = plan.origins(np.sort(idx))
+        bws, bhs = np.full(x.size, bw), np.full(x.size, bh)
+        gather = peak(lambda: kernels.codes_at(ii, x, y, bws, bhs, checked=False))
+        assert band <= gather, (bw, bh, band, gather)
 
 
 def _one_bit_grids():
