@@ -234,7 +234,12 @@ def group_rects(
 
 
 def detect(frame: Frame, model: CascadeModel, params: DetectorParams) -> list[Detection]:
-    """Scan then group; every returned rect lies inside the frame."""
+    """Scan then group; every returned rect lies inside the frame.
+
+    The scan gathers into buffers its plan holds, and ``scan_plan`` hands
+    one plan to every frame of a size, so ``detect`` is not reentrant: two
+    threads must not detect at once. Nothing does.
+    """
     dets = group_rects(scan(frame, model, params), params, window_h=model.window_h)
     fixed = []
     for d in dets:

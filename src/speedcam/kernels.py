@@ -28,10 +28,14 @@ partial sum. A scale runs in bands of whole rows of at most
 ``BAND_CHUNKS * SCAN_CHUNK`` origins, which bounds the block temporaries.
 Second, the survivors of every band and scale, scale-major then
 row-major, are pooled and handed on in chunks of exactly ``SCAN_CHUNK``
-windows (a frame's last chunk may be short), and each chunk runs every
-later weak together: the rest of stage 0, then stages 1+. Each weak is
-one ``codes_at`` call per chunk, with block sizes per window from the
-plan. The result is one flat mask over all scales' lattices.
+windows (a frame's last chunk may be short), with the dense codes that a
+later weak reads again, and each chunk runs every later weak together: the
+rest of stage 0, then stages 1+. A window's code of a feature is made once
+a chunk: the codes that a later weak reads again stay in a memo keyed by
+feature, seeded with the dense codes and filtered with the windows at each
+check. Each other weak is one ``codes_at`` gather per chunk, with block
+sizes per window from the plan. The result is one flat mask over all
+scales' lattices.
 
 A code is made in two steps: the (3, 3, ...) block sums of each grid,
 then the pattern (``_pattern``), which ``codes_at``, ``codes_stack`` and
@@ -70,6 +74,14 @@ compares it with the table's shape once, so that ``codes_at`` skips its
 own check there. The dense reads keep theirs, a few comparisons of
 scalars per band and weak.
 
+The plan also holds the gathers' workspace (``GatherBuffers``): the
+(4, 4, ``SCAN_CHUNK``) int64 corner index and the corners, one buffer per
+table dtype. A gather builds its index in place and reads the corners
+into them, so from a frame's second scan on, no gather makes an array of
+more than a chunk's int64s, and the heap keeps its size from frame to
+frame. The workspace makes a scan non-reentrant: two threads must not
+scan with one plan at once.
+
 A ``ScanPlan`` is built from the model and the lattices alone: it derives
 the flattened model arrays the hot loop reads, once, so that they always
 agree with the model's votes and the loop never touches Python objects:
@@ -87,6 +99,9 @@ agree with the model's votes and the loop never touches Python objects:
 * ``reach``             (w, h): the smallest frame that holds every grid
 * ``lattice, narrow``   (n_scales, dense) bool: read a dense weak's blocks
   through a lattice table, and from the uint16 table
+* ``reuse``             (n_weaks,) bool: whether a weak past both the dense
+  prefix and this one reads this weak's feature again
+* ``buffers``           the gathers' ``GatherBuffers``
 """
 
 import math
@@ -101,27 +116,24 @@ from speedcam.mblbp import CascadeModel, vote_table
 # clockwise to L=bit0; the center weighs 0
 _BIT_WEIGHTS = np.array([128, 64, 32, 1, 0, 16, 2, 4, 8], dtype=np.uint8)[:, None]
 
-# grid row and column numbers of the 4x4 prefix-table corners
-_GRID = np.arange(4)
-
 # the prefix-table dtype of the scan and the trainer: exact for every block
 # of a frame within imaging.MAX_DIM (module docstring), at half int64's bytes
 TABLE_DTYPE = np.uint32
 
 # windows per scan chunk: the survivor pool hands each later-weak gather
-# this many but a frame's last, and a dense band holds BAND_CHUNKS times
-# this many origins (or one row). Gathers of 4,096 were slower for their
-# extra calls
+# this many but a frame's last, a plan's gather buffers hold this many, and
+# a dense band holds BAND_CHUNKS times this many origins (or one row).
+# Gathers of 4,096 were slower for their extra calls
 SCAN_CHUNK = 1 << 13
 
-# scan chunks per dense band. A full gather holds 240 bytes a window at its
-# peak ((4, n) int64 rows and columns, the (4, 4, n) int64 index and the
-# corners it reads); a band origin at most 100, on the corner read of the
-# uint32 table: CODE_TEMP_BYTES, its float64 vote and its running sum. A
-# lattice table of under 7 entries a window holds less. So a band of two
-# chunks stays within a gather (all measured with tracemalloc). Bands of
-# 65,536 origins made glibc trim the heap and fault it back in on every
-# track frame
+# scan chunks per dense band. A full gather holds 276 bytes a window: the
+# plan's (4, 4, n) int64 index and uint32 corners, 192, and at its peak
+# the ``_codes`` temporaries; a band origin at most 100, on the corner read
+# of the uint32 table: CODE_TEMP_BYTES, its float64 vote, its running sum
+# and its codes. A lattice table of under 7 entries a window holds less.
+# So a band of two chunks stays within a gather (all measured with
+# tracemalloc). Bands of 65,536 origins made glibc trim the heap and fault
+# it back in on every track frame
 BAND_CHUNKS = 2
 
 # the most pixels a block may hold for its sum to be read from a uint16 copy
@@ -171,8 +183,35 @@ def _codes(corners: np.ndarray) -> np.ndarray:
     return _pattern(_blocks(corners))
 
 
+class GatherBuffers:
+    """The corner index and corner values of ``codes_at`` gathers of up to
+    ``size`` windows, reused from gather to gather.
+
+    The index is one int64 buffer, the corners one buffer per table dtype,
+    made on first use; a larger gather regrows them. They are flat, so a
+    gather of n windows reads and writes their first 16n entries as C
+    contiguous (4, 4, n) views, which ``take`` fills with no copy. One
+    gather at a time may use them.
+    """
+
+    def __init__(self, size: int):
+        self.index = np.empty(16 * size, dtype=np.int64)
+        self.corners = {}
+
+    def views(self, n: int, dtype):
+        """(4, 4, n) views of the index and of the corners of a dtype table."""
+        if self.index.size < 16 * n:
+            self.index, self.corners = np.empty(16 * n, dtype=np.int64), {}
+        dtype = np.dtype(dtype)
+        if dtype not in self.corners:
+            self.corners[dtype] = np.empty(self.index.size, dtype=dtype)
+        shape = (4, 4, n)
+        return self.index[: 16 * n].reshape(shape), self.corners[dtype][: 16 * n].reshape(shape)
+
+
 def codes_at(
-    sums: np.ndarray, x: np.ndarray, y: np.ndarray, bw, bh, checked: bool = True
+    sums: np.ndarray, x: np.ndarray, y: np.ndarray, bw, bh, checked: bool = True,
+    *, buffers: GatherBuffers | None = None,
 ) -> np.ndarray:
     """Pattern codes of 3x3 block grids at many origins (vectorized).
 
@@ -183,6 +222,12 @@ def codes_at(
     grid that leaves the table is a BoundsError. A caller that has proven
     every grid inside the table passes checked=False to skip the check:
     ``scan_lattices`` does, after comparing the table with the plan's reach.
+
+    The corner index and the corners go into buffers, which a caller may
+    hold from call to call (``GatherBuffers``); without them the call makes
+    its own. ``scan_lattices`` passes its plan's, so a scan is not
+    reentrant: two threads must not scan with one plan at once. Nothing
+    scans from two threads.
     """
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
@@ -199,9 +244,28 @@ def codes_at(
             f"the grid of {bw[k]}x{bh[k]} blocks at ({x[k]}, {y[k]}) "
             f"leaves the {w1 - 1}x{h1 - 1} table"
         )
-    rows = np.multiply.outer(_GRID, np.atleast_1d(bh * w1)) + (y * w1 + x)  # (4, n)
-    cols = np.multiply.outer(_GRID, np.atleast_1d(bw))  # (4, 1 or n)
-    return _codes(sums.take(rows[:, None] + cols[None]))  # take reads the flattened table
+    if buffers is None:
+        buffers = GatherBuffers(x.size)
+    return _codes(_gather(sums, x, y, bw, bh, buffers))
+
+
+def _gather(sums, x, y, bw, bh, buffers) -> np.ndarray:
+    """The (4, 4, n) prefix-table corners of the grids at (x, y), read into
+    buffers. The flat index is built row by row in place, with no
+    temporaries, and ``take`` wraps rather than checks: every index is
+    already proven in range."""
+    index, corners = buffers.views(x.size, sums.dtype)
+    w1 = sums.shape[1]
+    rows = index[:, 0]  # (4, n): the flat index of each grid row's left corner
+    np.multiply(y, w1, out=rows[0])
+    rows[0] += x
+    np.multiply(bh, w1, out=rows[3])  # one block row, the step from row to row
+    np.add(rows[0], rows[3], out=rows[1])
+    np.add(rows[1], rows[3], out=rows[2])
+    rows[3] += rows[2]
+    for j in range(1, 4):
+        np.add(index[:, j - 1], bw, out=index[:, j])
+    return sums.take(index, mode="wrap", out=corners)
 
 
 def _require_lattice(sums, x0, y0, sx, sy, nx, ny, bw, bh):
@@ -357,6 +421,8 @@ class ScanPlan:
     reach: tuple = field(init=False)
     lattice: np.ndarray = field(init=False)  # (n_scales, dense) bool
     narrow: np.ndarray = field(init=False)  # (n_scales, dense) bool
+    reuse: np.ndarray = field(init=False)  # (n_weaks,) bool
+    buffers: GatherBuffers = field(init=False)
 
     def __post_init__(self):
         stages = self.model.stages
@@ -377,6 +443,9 @@ class ScanPlan:
         checks = np.flatnonzero(wcheck[: sbound[1]])
         wfeat = np.array([w.feature_index for w in weaks], dtype=np.int64)
         dense = int(checks[0]) + 1 if checks.size else int(sbound[1])
+        reuse = np.array(
+            [f in wfeat[max(k + 1, dense) :] for k, f in enumerate(wfeat)], dtype=bool
+        )
         fx, fy, fbw, fbh = self.grid
         stride, nx, ny = (a[:, None] for a in (self.stride, self.nx, self.ny))
         # the frame that holds every grid of every lattice; no grid starts
@@ -399,6 +468,7 @@ class ScanPlan:
             dense=dense, reach=tuple(reach),
             lattice=entries < 7 * rows * nx,
             narrow=bw * bh <= NARROW_PIXELS,
+            reuse=reuse, buffers=GatherBuffers(SCAN_CHUNK),
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -430,23 +500,29 @@ def _band_blocks(sums, narrow, plan, s, wi, top, rows):
 
 
 def _dense_band(sums, narrow, plan, s, top, rows):
-    """Flat mask positions and partial sums of the origins in rows top ..
-    top+rows-1 of scale s's lattice that pass stage 0's first
+    """Flat mask positions, partial sums and codes of the n origins in rows
+    top .. top+rows-1 of scale s's lattice that pass stage 0's first
     ``plan.dense`` weaks, each read densely (``_band_blocks``), and the
-    check after the last of them. A band is one call so that its arrays are
-    freed before the next band's are made: held across bands, they made the
-    allocator hand back and fault in again about 6 MB a frame on track.
+    check after the last of them. The codes are (k, n), one row for each of
+    the k dense weaks whose feature a later weak reads again
+    (``plan.reuse``). A band is one call so that its arrays are freed before
+    the next band's are made: held across bands, they made the allocator
+    hand back and fault in again about 6 MB a frame on track.
     """
-    for wi in range(plan.dense):
-        codes = _pattern(_band_blocks(sums, narrow, plan, s, wi, top, rows))
-        v = plan.votes[wi][codes.reshape(-1)]
-        acc = v if wi == 0 else acc + v
     nx = int(plan.nx[s])
+    reused = []
+    for wi in range(plan.dense):
+        codes = _pattern(_band_blocks(sums, narrow, plan, s, wi, top, rows)).reshape(-1)
+        v = plan.votes[wi].take(codes)
+        acc = v if wi == 0 else acc + v
+        if plan.reuse[wi]:
+            reused.append(codes)
+    codes = np.array(reused, dtype=np.uint8).reshape(len(reused), rows * nx)
     first = plan.start[s] + top * nx
     if not plan.wcheck[plan.dense - 1]:
-        return first + np.arange(rows * nx), acc
+        return first + np.arange(rows * nx), acc, codes
     keep = np.flatnonzero(_bound(acc, plan.vmax[plan.dense : plan.sbound[1]]) >= plan.sthr[0])
-    return first + keep, acc.take(keep)
+    return first + keep, acc.take(keep), codes.take(keep, axis=1)
 
 
 def _dense_prefix(sums, narrow, plan):
@@ -464,31 +540,47 @@ def _dense_prefix(sums, narrow, plan):
             pool.append(_dense_band(sums, narrow, plan, s, top, min(rows, ny - top)))
             count += pool[-1][0].size
             while count >= SCAN_CHUNK:
-                idx, acc = (np.concatenate(a) for a in zip(*pool))
-                yield idx[:SCAN_CHUNK], acc[:SCAN_CHUNK]
-                pool, count = [(idx[SCAN_CHUNK:], acc[SCAN_CHUNK:])], count - SCAN_CHUNK
+                idx, acc, codes = (np.concatenate(a, axis=-1) for a in zip(*pool))
+                yield idx[:SCAN_CHUNK], acc[:SCAN_CHUNK], codes[:, :SCAN_CHUNK]
+                pool = [(idx[SCAN_CHUNK:], acc[SCAN_CHUNK:], codes[:, SCAN_CHUNK:])]
+                count -= SCAN_CHUNK
     if count:
-        yield [np.concatenate(a) for a in zip(*pool)]
+        yield [np.concatenate(a, axis=-1) for a in zip(*pool)]
 
 
-def _later_weaks(sums, plan, idx, acc):
+def _later_weaks(sums, plan, idx, acc, codes):
     """Flat positions of the windows at idx, any scales, that pass every
     weak after the dense prefix: the rest of stage 0, from the partial
-    sums acc, then stages 1+. Each weak is one ``codes_at`` gather, with
-    block sizes per window from the plan.
+    sums acc, then stages 1+. codes holds the windows' codes of the dense
+    weaks whose feature a later weak reads again (``_dense_band``).
+
+    Each window's code of a feature is made once: a memo keyed by feature
+    holds the codes a later weak will read again, the dense ones first,
+    filtered with the windows at each check. A feature not in it is one
+    ``codes_at`` gather, with block sizes per window from the plan, into
+    the plan's buffers.
     """
     s, x, y = plan.origins(idx)
+    dense = plan.dense
+    memo = dict(zip(plan.wfeat[:dense][plan.reuse[:dense]].tolist(), codes))
     for si in range(plan.sthr.size):
         first, end = plan.sbound[si], plan.sbound[si + 1]
-        for wi in range(max(first, plan.dense), end):
-            fx, fy, fbw, fbh = plan.grid[:, :, plan.wfeat[wi]].take(s, axis=1)
-            v = plan.votes[wi][codes_at(sums, x + fx, y + fy, fbw, fbh, checked=False)]
+        for wi in range(max(first, dense), end):
+            f = int(plan.wfeat[wi])
+            c = memo.pop(f, None)
+            if c is None:
+                fx, fy, fbw, fbh = plan.grid[:, :, f].take(s, axis=1)
+                c = codes_at(sums, x + fx, y + fy, fbw, fbh, False, buffers=plan.buffers)
+            if plan.reuse[wi]:
+                memo[f] = c
+            v = plan.votes[wi].take(c)
             acc = v if wi == first else acc + v
             if plan.wcheck[wi]:
                 keep = np.flatnonzero(_bound(acc, plan.vmax[wi + 1 : end]) >= plan.sthr[si])
                 idx, s, x, y, acc = (a.take(keep) for a in (idx, s, x, y, acc))
                 if not idx.size:
                     return idx
+                memo = {f: c.take(keep) for f, c in memo.items()}
     return idx
 
 
@@ -507,6 +599,6 @@ def scan_lattices(sums, plan: ScanPlan) -> np.ndarray:
     # block sums of at most NARROW_PIXELS are exact mod 2**16 (module docstring)
     narrow = sums.astype(np.uint16) if plan.narrow.any() else None
     mask = np.zeros(int(plan.start[-1]), dtype=bool)
-    for idx, acc in _dense_prefix(sums, narrow, plan):
-        mask[_later_weaks(sums, plan, idx, acc)] = True
+    for idx, acc, codes in _dense_prefix(sums, narrow, plan):
+        mask[_later_weaks(sums, plan, idx, acc, codes)] = True
     return mask

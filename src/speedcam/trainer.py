@@ -247,7 +247,7 @@ def boost_round(
     """
     eps = min(max(error, EPSILON_CLAMP), 1.0 - EPSILON_CLAMP)
     alpha = 0.5 * math.log((1.0 - eps) / eps)
-    predicted_pos = subset_mask(weak.subset)[cache.codes[:, weak.feature_index]]
+    predicted_pos = subset_mask(weak.subset).take(cache.codes[:, weak.feature_index])
     correct = predicted_pos == cache.positive
     weights = np.array([s.weight for s in samples], dtype=np.float64)
     weights = weights * np.where(correct, math.exp(-alpha), math.exp(alpha))
@@ -259,7 +259,7 @@ def boost_round(
 def _stage_scores(stage: Stage, cache: SampleCache) -> np.ndarray:
     scores = np.zeros(cache.codes.shape[0], dtype=np.float64)
     for votes, w in zip(vote_table(stage.weaks), stage.weaks):
-        scores += votes[cache.codes[:, w.feature_index]]
+        scores += votes.take(cache.codes[:, w.feature_index])
     return scores
 
 

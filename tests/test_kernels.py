@@ -1,5 +1,6 @@
 """The array kernels against the scalar reference in mblbp."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -52,6 +53,9 @@ def test_codes_at_matches_scalar_path():
     rng = np.random.default_rng(2)
     px = rng.integers(0, 256, (30, 44), np.uint8)
     ii = imaging.integral(Frame(44, 30, px))
+    wrapped = imaging.integral(Frame(44, 30, px), kernels.TABLE_DTYPE)
+    # held buffers, at first too small for a gather of 196 windows
+    buffers = kernels.GatherBuffers(60)
     for bw, bh in [(1, 1), (3, 2), (5, 7)]:
         xs = np.arange(0, 44 - 3 * bw + 1, 3, dtype=np.int64)
         ys = np.arange(0, 30 - 3 * bh + 1, 2, dtype=np.int64)
@@ -63,6 +67,9 @@ def test_codes_at_matches_scalar_path():
             for x, y in zip(gx, gy)
         ]
         assert got.tolist() == want
+        for table in (ii, wrapped):
+            assert kernels.codes_at(table, gx, gy, bw, bh, buffers=buffers).tolist() == want
+    assert buffers.index.size == 16 * 196
 
 
 @pytest.mark.parametrize(
@@ -342,12 +349,13 @@ def _patch_scan_case():
     feature = mblbp.MbLbpFeature(1, 1, 4, 2)
     code = mblbp.lbp_code(ii, feature, (30, 20))
     assert code != mblbp.lbp_code(ii, feature, (0, 0))
-    # stage 1 repeats the feature, so survivors of stage 0 reach codes_at
+    # stage 1 reads the same grid as a second feature, which the dense step
+    # has not read, so survivors of stage 0 reach codes_at
     stages = tuple(
-        mblbp.Stage(0.5, (mblbp.WeakClassifier(0, mblbp.subset_from_codes([code]), 1.0, 0.0),))
-        for _ in range(2)
+        mblbp.Stage(0.5, (mblbp.WeakClassifier(i, mblbp.subset_from_codes([code]), 1.0, 0.0),))
+        for i in range(2)
     )
-    model = mblbp.CascadeModel((feature,), stages, 20, 10)
+    model = mblbp.CascadeModel((feature, feature), stages, 20, 10)
     return ii, model
 
 
@@ -377,8 +385,8 @@ def test_scan_lattices_bands_equal_one_band(monkeypatch, rows):
     monkeypatch.setattr(kernels, "codes_at", counted)
     banded = _scan_lattice(ii, model, *lattice)
     assert np.array_equal(banded, whole)
-    # stage 1 repeats stage 0 and runs once over the survivors of every band,
-    # which fit one chunk of SCAN_CHUNK
+    # stage 1 runs once over the survivors of every band, which fit one
+    # chunk of SCAN_CHUNK
     assert sum(survivors) <= rows * whole.shape[1]
     assert gathered == [sum(survivors)]
 
@@ -508,6 +516,141 @@ def test_scan_lattices_gathers_the_rest_of_stage_0_after_a_band_that_drops_nothi
     assert sum(x.size for x, _ in calls) == first.sum()
 
 
+def test_scan_lattices_gathers_each_feature_once_a_chunk(monkeypatch):
+    rng = np.random.default_rng(44)
+    # distinct block sizes, so that a gather's block size names its feature
+    feats = (
+        mblbp.MbLbpFeature(0, 0, 2, 2), mblbp.MbLbpFeature(1, 1, 3, 1),
+        mblbp.MbLbpFeature(0, 2, 1, 2), mblbp.MbLbpFeature(2, 0, 1, 1),
+        mblbp.MbLbpFeature(3, 3, 2, 1),
+    )
+    by_size = {(f.bw, f.bh): i for i, f in enumerate(feats)}
+
+    def weak(f):
+        words = tuple(int(v) for v in rng.integers(0, 2**32, 8, dtype=np.uint64))
+        return mblbp.WeakClassifier(f, words, 1.0, -1.0)
+
+    # votes of +1 or -1: stage 0's bound first can fail after weak 2, so
+    # weaks 0-2 are dense and weak 3 reads weak 0's feature again. Stage 1
+    # reads features 3 and 4 twice each, and the dense features 1 and 2;
+    # its bound first can fail after its fifth weak
+    stages = (
+        mblbp.Stage(-1.0, tuple(weak(f) for f in (0, 1, 2, 0))),
+        mblbp.Stage(-2.0, tuple(weak(f) for f in (3, 1, 3, 4, 2, 4))),
+    )
+    model = mblbp.CascadeModel(feats, stages, 12, 9)
+    nx, ny = 60 - 12 + 1, 40 - 9 + 1
+    plan = _lattice_plan(model, 1, nx, ny)
+    assert plan.dense == 3
+    assert np.flatnonzero(plan.wcheck).tolist() == [2, 3, 8, 9]
+    monkeypatch.setattr(kernels, "SCAN_CHUNK", 256)
+    chunks = []
+    later, codes_at = kernels._later_weaks, kernels.codes_at
+
+    def chunk(*args):
+        chunks.append([])
+        return later(*args)
+
+    def counted(sums, x, y, bw, bh, *rest, **kwargs):
+        chunks[-1].append(by_size[int(bw[0]), int(bh[0])])
+        return codes_at(sums, x, y, bw, bh, *rest, **kwargs)
+
+    monkeypatch.setattr(kernels, "_later_weaks", chunk)
+    monkeypatch.setattr(kernels, "codes_at", counted)
+    ii = imaging.integral(Frame(60, 40, rng.integers(0, 256, (40, 60), np.uint8)))
+    got = kernels.scan_lattices(ii, plan).reshape(ny, nx)
+    want = np.array([[mblbp.eval_window(ii, model, (x, y)) for x in range(nx)] for y in range(ny)])
+    assert np.array_equal(got, want)
+    assert 0 < want.sum() < want.size
+    assert len(chunks) > 1
+    # a chunk gathers feature 3, then 4, once each, while it has windows
+    # left; the dense features are never gathered
+    assert all(c == [3, 4][: len(c)] for c in chunks)
+    assert chunks.count([3, 4]) > 1
+
+
+def _half_pass_model(rng):
+    """A random 12x9 cascade of three stages of four weaks, with votes of
+    +1 or -1 and random subsets: each stage passes about 11 in 16 random
+    windows, and its first three weaks are dense in stage 0."""
+    features = _random_model(rng).features
+    stages = tuple(
+        mblbp.Stage(0.0, tuple(
+            mblbp.WeakClassifier(
+                int(rng.integers(0, len(features))),
+                tuple(int(v) for v in rng.integers(0, 2**32, 8, dtype=np.uint64)),
+                1.0, -1.0,
+            )
+            for _ in range(4)
+        ))
+        for _ in range(3)
+    )
+    return mblbp.CascadeModel(features, stages, 12, 9)
+
+
+_HALF_PASS_PARAMS = detector.DetectorParams(
+    min_size_fraction=0.2, scale_factor=1.2, stride_base=1
+)
+
+
+def test_a_second_frame_of_the_same_size_gathers_into_the_held_buffers(monkeypatch):
+    rng = np.random.default_rng(45)
+    model = _half_pass_model(rng)
+    frames = [Frame(96, 64, rng.integers(0, 256, (64, 96), np.uint8)) for _ in range(2)]
+    peaks, sizes = [], []
+    gather = kernels._gather
+
+    def measured(sums, x, *rest):
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = gather(sums, x, *rest)
+        peaks[-1] = max(peaks[-1], tracemalloc.get_traced_memory()[1] - start)
+        sizes.append(x.size)
+        return out
+
+    monkeypatch.setattr(kernels, "_gather", measured)
+    tracemalloc.start()
+    try:
+        for frame in frames:
+            peaks.append(0)
+            detector.scan(frame, model, _HALF_PASS_PARAMS)
+    finally:
+        tracemalloc.stop()
+    # the gathers are large enough that a (4, 4, n) int64 index would pass
+    # 64 KiB; the first frame makes the plan's uint32 corners
+    assert 16 * 8 * max(sizes) > 64 << 10
+    assert peaks[0] >= kernels.SCAN_CHUNK * 16 * 4
+    # the gathers of a second frame of the same size make no array above 64 KiB
+    assert peaks[1] <= 64 << 10
+
+
+def test_plans_of_two_frame_sizes_and_two_table_dtypes_share_no_buffer():
+    rng = np.random.default_rng(46)
+    model = _half_pass_model(rng)
+    sizes = [(96, 64), (80, 56)]
+    frames = {
+        (w, h): Frame(w, h, rng.integers(0, 256, (h, w), np.uint8)) for w, h in sizes
+    }
+
+    def mask(plan, size, dtype):
+        return kernels.scan_lattices(imaging.integral(frames[size], dtype), plan)
+
+    # each scan changes the frame size from the last one, and every other
+    # one the table dtype
+    cases = [(size, dtype) for dtype in (np.uint32, np.int64) for size in sizes]
+    # a plan whose buffers no scan has used, as in a fresh process
+    want = [mask(detector._build_plan(model, _HALF_PASS_PARAMS, *size), size, dtype)
+            for size, dtype in cases]
+    assert all(0 < m.sum() < m.size for m in want)
+    plans = {size: detector._build_plan(model, _HALF_PASS_PARAMS, *size) for size in sizes}
+    for _ in range(2):
+        for (size, dtype), m in zip(cases, want):
+            assert np.array_equal(mask(plans[size], size, dtype), m)
+    held = [b for p in plans.values() for b in (p.buffers.index, *p.buffers.corners.values())]
+    assert len(held) == 6  # an index, and corners of both dtypes, per plan
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(held, 2))
+
+
 @pytest.mark.parametrize(
     "n_weaks, threshold, checks, dense",
     [
@@ -529,10 +672,12 @@ def test_scan_plan_reads_stage_0_densely_through_its_first_check(n_weaks, thresh
 
 def test_scan_lattices_gathers_in_chunks_when_every_window_survives_the_first_check():
     # a flat frame: weak 0 accepts every window's code, 255, so the later
-    # weaks gather all 298 x 298 windows
+    # weaks gather all 298 x 298 windows. They read the same grid as a
+    # second feature, which the dense step has not read
     ii = imaging.integral(Frame(300, 300, np.full((300, 300), 9, np.uint8)))
-    feats = (mblbp.MbLbpFeature(0, 0, 1, 1),)
+    feats = (mblbp.MbLbpFeature(0, 0, 1, 1),) * 2
     weak = mblbp.WeakClassifier(0, mblbp.subset_from_codes([255]), 1.0, -1.0)
+    later = mblbp.WeakClassifier(1, weak.subset, 1.0, -1.0)
 
     def peak(stages):
         model = mblbp.CascadeModel(feats, stages, 3, 3)
@@ -548,10 +693,10 @@ def test_scan_lattices_gathers_in_chunks_when_every_window_survives_the_first_ch
         return top
 
     prefix = peak((mblbp.Stage(0.5, (weak,)),))
-    later = peak((mblbp.Stage(2.5, (weak,) * 3), mblbp.Stage(0.5, (weak,))))
-    # a gather holds (4, 4, n) int64 indices and corners, (3, 4, n) int64
-    # strips, (3, 3, n) int64 blocks and (4, n) int64 rows and columns:
-    # under 512 bytes a window
+    later = peak((mblbp.Stage(2.5, (weak,) + (later,) * 2), mblbp.Stage(0.5, (later,))))
+    # a gather holds the plan's (4, 4, n) int64 index and corners, then
+    # (3, 4, n) int64 strips and (3, 3, n) int64 blocks: under 512 bytes a
+    # window
     assert later - prefix < kernels.SCAN_CHUNK * 512
     assert kernels.SCAN_CHUNK * 512 < 298 * 298 * 256
 
@@ -754,12 +899,20 @@ def test_a_dense_band_holds_no_more_than_a_full_gather():
         rows = int(kernels._band_rows(nx))
         assert kernels.BAND_CHUNKS * kernels.SCAN_CHUNK - nx < rows * nx <= plan.ny[0] * nx
         band = peak(lambda: kernels._dense_band(ii, None, plan, 0, 0, rows))
-        # a full gather: one later weak over SCAN_CHUNK windows of the lattice
+        # a full gather: one later weak over SCAN_CHUNK windows of the
+        # lattice, into the buffers the plan holds, which count in full
         idx = rng.choice(rows * nx, kernels.SCAN_CHUNK, replace=False)
         _, x, y = plan.origins(np.sort(idx))
         bws, bhs = np.full(x.size, bw), np.full(x.size, bh)
-        gather = peak(lambda: kernels.codes_at(ii, x, y, bws, bhs, checked=False))
-        assert band <= gather, (bw, bh, band, gather)
+
+        def gather():
+            return kernels.codes_at(ii, x, y, bws, bhs, False, buffers=plan.buffers)
+
+        gather()
+        index, corners = plan.buffers.views(kernels.SCAN_CHUNK, ii.dtype)
+        held = index.nbytes + corners.nbytes
+        assert held == kernels.SCAN_CHUNK * 16 * (8 + 4)
+        assert band <= held + peak(gather), (bw, bh, band, held, peak(gather))
 
 
 def _one_bit_grids():
