@@ -1,5 +1,7 @@
 """Pinned outputs: sha256 digests of ``detector.scan`` rects and
-``detector.detect`` detections on seeded inputs this file builds itself.
+``detector.detect`` detections on seeded inputs this file builds itself,
+and of the ``detect`` TSV and the ``speed`` estimate JSON that the command
+line prints over a seeded ``synth`` sequence.
 
 The digests were taken before any change they guard. A change to the scan
 that keeps its outputs keeps them; one that must move a digest says why.
@@ -12,7 +14,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import _build_patch_case
+
 from speedcam import detector, imaging, kernels, mblbp
+from speedcam.cli import run
 from speedcam.imaging import Frame
 
 WINDOW_W, WINDOW_H = 24, 12
@@ -177,3 +182,48 @@ def test_the_golden_inputs_reach_every_scan_path(monkeypatch):
     for f in frames:
         detector.scan(f, model, params)
     assert min(counts) > kernels.SCAN_CHUNK
+
+
+# a 96x48 patch moving diagonally over 40 synth frames: detections on every
+# other pair of frames, and a speed estimate that completes at frame 37
+SYNTH_PATCH = (20, 140)
+SYNTH_VELOCITY = (7.5, 1.5)
+SYNTH_FRAMES = 40
+SYNTH_SEED = 5
+# sha256 of stdout per command
+CLI_GOLDEN = {
+    "detect": "386cf60228167580db71707652b7ec36c890c307506390ed486b9b609a85c02a",
+    "speed": "4b206514793fecda02de95d136072b86691655302f1af6d91561154ca18c9ce7",
+}
+
+
+@pytest.fixture(scope="module")
+def synth_case(tmp_path_factory):
+    """argv naming a seeded ``synth`` sequence, the model and the detector flags."""
+    root = tmp_path_factory.mktemp("golden_cli")
+    x, y = SYNTH_PATCH
+    vx, vy = SYNTH_VELOCITY
+    argv = ["synth", "--out", str(root / "seq"), "--patch", str(x), str(y), "96", "48",
+            "--velocity", repr(vx), repr(vy), "--frames", str(SYNTH_FRAMES),
+            "--seed", str(SYNTH_SEED)]
+    assert run(argv) == 0
+    case = _build_patch_case(
+        velocity=SYNTH_VELOCITY, n_frames=SYNTH_FRAMES, patch_xy=SYNTH_PATCH,
+        texture_seed=SYNTH_SEED,
+    )
+    (root / "model.json").write_text(mblbp.save_model(case.model), encoding="utf-8")
+    p = case.params
+    return ["--frames", str(root / "seq"), "--model", str(root / "model.json"),
+            "--min-size-fraction", repr(p.min_size_fraction),
+            "--scale-factor", repr(p.scale_factor), "--stride", str(p.stride_base),
+            "--min-neighbors", str(p.min_neighbors), "--group-eps", repr(p.group_eps)]
+
+
+@pytest.mark.parametrize("command", sorted(CLI_GOLDEN))
+def test_cli_stdout_is_pinned(synth_case, capsys, command):
+    extra = ["--px-per-m", "37.5"] if command == "speed" else []
+    capsys.readouterr()
+    assert run([command, *synth_case, *extra]) == 0
+    out = capsys.readouterr().out
+    assert out  # a detection or an estimate was printed
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_GOLDEN[command]
