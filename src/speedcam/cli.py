@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -176,16 +177,18 @@ def _calibration_from_args(args, frame_dims) -> speedpipe.CalibrationProfile:
 
 
 def cmd_speed(args, clock):
-    frames = imaging.read_sequence(args.frames, fps=args.fps)
+    frames = iter(imaging.read_sequence(args.frames, fps=args.fps))
     model = _load_model(args.model)
     params = _detector_params(args)
-    cal = _calibration_from_args(args, (frames[0].width, frames[0].height))
+    first = next(frames)  # read_sequence refuses a sequence of no frames
+    cal = _calibration_from_args(args, (first.width, first.height))
     axis = args.axis.replace("-", "_")
     session = speedpipe.SpeedSession(
         window_len=args.window_len, windows_needed=args.windows, axis_mode=axis
     )
     last_hit = None
-    for frame in frames:
+    # each frame is decoded once, and none after the session completes
+    for frame in itertools.chain([first], frames):
         vehicle = detector.select_vehicle(detector.detect(frame, model, params))
         if vehicle is None:
             continue

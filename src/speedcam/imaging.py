@@ -4,9 +4,15 @@ Frames are 8-bit single-channel rasters. Sequences on disk are a directory
 of binary PGM (P5) files plus an optional ``manifest.tsv`` assigning a
 millisecond timestamp to each file; without a manifest, files sort
 lexicographically and a frames-per-second rate assigns uniform timestamps.
+``read_sequence`` checks the names, files and timestamps of a sequence up
+front and returns a ``FrameSequence``, which decodes each frame only when
+it is reached and keeps none: a loop over a sequence holds about two
+frames at a time, the one in hand and the one being read, however long
+the sequence is.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,6 +108,7 @@ def load_pgm(data: bytes) -> Frame:
 
     Comments (``#`` to end of line) are allowed anywhere in the header.
     The loaded frame gets timestamp 0; sequence readers assign real times.
+    Its pixels are a read-only view of data, not a copy.
     """
     pos = 0
     n = len(data)
@@ -150,12 +157,11 @@ def load_pgm(data: bytes) -> Frame:
     # exactly one whitespace byte separates the header from the raster
     pos += 1
     need = width * height
-    raster = data[pos : pos + need]
-    if len(raster) < need:
+    if n - pos < need:
         raise FormatError(
-            f"truncated pixel data: expected {need} bytes, got {len(raster)}"
+            f"truncated pixel data: expected {need} bytes, got {max(n - pos, 0)}"
         )
-    px = np.frombuffer(raster, dtype=np.uint8, count=need)
+    px = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
     return Frame(width, height, px, timestamp_ms=0)
 
 
@@ -325,14 +331,58 @@ def write_sequence(directory, frames: list[Frame]) -> None:
     write_file(directory / MANIFEST_NAME, "".join(lines), StorageError, "manifest")
 
 
-def read_sequence(directory, fps: float | None = None) -> list[Frame]:
-    """Load a frame sequence with timestamps from manifest.tsv or a uniform rate.
+class FrameSequence(Sequence):
+    """The frames of a sequence directory, each decoded when it is reached.
+
+    It holds only the directory and the (file name, timestamp_ms) pairs
+    that ``read_sequence`` checked. Each index, and each step of an
+    iteration, reads and decodes one frame through ``load_pgm``; nothing is
+    cached, so a loop over the frames holds only the frames it keeps, and a
+    frame reached twice is decoded twice. A file that is not a valid PGM is
+    a FormatError naming it when its frame is reached.
+    """
+
+    def __init__(self, directory: Path, entries: tuple):
+        self._directory = directory
+        self._entries = entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __getitem__(self, index: int) -> Frame:
+        return self._decode(*self._entries[index])
+
+    def __iter__(self):
+        # not the mixin's loop over indices: it ends the iteration at the
+        # first IndexError, even one raised while decoding a frame
+        for name, ts in self._entries:
+            yield self._decode(name, ts)
+
+    def _decode(self, name: str, ts: int) -> Frame:
+        path = self._directory / name
+        data = read_file(path, FormatError, binary=True)
+        try:
+            frame = load_pgm(data)  # looked up at each call, so a wrapper sees it
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+        frame.timestamp_ms = ts
+        return frame
+
+
+def read_sequence(directory, fps: float | None = None) -> FrameSequence:
+    """The frames of a sequence, timestamped from manifest.tsv or a uniform rate.
 
     Without a manifest, .pgm files are taken in lexicographic order and
     timestamps are round(k * 1000/fps); fps is then required, and a rate
     that gives two frames the same timestamp is a ConfigError. A manifest
     name must be a bare file name in the directory: one that is absolute
-    or has a directory part is a FormatError before any frame is read.
+    or has a directory part is a FormatError.
+
+    These checks, and those that each named file exists and that the
+    timestamps increase, are all made here, before any frame is read. No
+    frame is decoded here: the returned ``FrameSequence`` decodes each one
+    when it is reached, so a file that is not a valid PGM is a FormatError,
+    naming the file, only when its frame is reached.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -386,12 +436,10 @@ def read_sequence(directory, fps: float | None = None) -> list[Frame]:
                     f"timestamp {ts}; a rate above 1000 needs a {MANIFEST_NAME}"
                 )
 
-    frames = []
     last_ts = -1
     for name, ts in entries:
-        path = directory / name
         try:
-            present = path.exists()
+            present = (directory / name).exists()
         except OSError:  # a name the file system refuses, such as one too long
             present = False
         if not present:
@@ -401,7 +449,4 @@ def read_sequence(directory, fps: float | None = None) -> list[Frame]:
                 f"timestamp {ts} for {name} does not exceed previous {last_ts}"
             )
         last_ts = ts
-        frame = load_pgm(read_file(path, FormatError, binary=True))
-        frame.timestamp_ms = ts
-        frames.append(frame)
-    return frames
+    return FrameSequence(directory, tuple(entries))

@@ -5,18 +5,19 @@ substituted alphabet avoids path-like sequences in the JSON body). The
 whole store uploads as one POST <endpoint>/uploadData with a JSON
 payload; the server validates the entire batch before persisting
 anything, so a request either lands completely or not at all.
+
+The HTTP modules load on first use, not with this module: ``post_upload``
+imports the client modules when it is called, and ``serve_ingest`` imports
+``speedcam.ingest_http``, the request handler and server classes, when it
+is called. A process that never uploads or serves never loads them.
 """
 
 import base64
 import binascii
-import http.client
 import json
 import re
 import threading
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from speedcam.capture import CaptureRecord, RecordStore
 from speedcam.errors import (
@@ -143,6 +144,10 @@ def post_upload(
         raise PayloadSizeError(
             f"serialized payload is {len(body)} bytes, limit {max_bytes}"
         )
+    import http.client
+    import urllib.error
+    import urllib.request
+
     url = endpoint.rstrip("/") + UPLOAD_PATH
     request = urllib.request.Request(
         url,
@@ -203,87 +208,10 @@ def _parse_payload_records(doc) -> list[tuple[CaptureRecord, bytes]]:
     return out
 
 
-class _IngestHandler(BaseHTTPRequestHandler):
-    @property
-    def timeout(self):  # read by the base class as each connection opens
-        return TIMEOUT_S
-
-    def _respond(self, status: int, doc: dict):
-        body = json.dumps(doc).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self):
-        self._respond(405, {"message": "uploads must use POST", "received": 0})
-
-    def do_POST(self):
-        if self.path != UPLOAD_PATH:
-            self._respond(404, {"message": f"unknown path {self.path}", "received": 0})
-            return
-        length = self.headers.get("Content-Length")
-        if length is None:
-            self._respond(411, {"message": "Content-Length required", "received": 0})
-            return
-        try:
-            length = int(length)
-        except ValueError:
-            length = -1
-        if length < 0:
-            self.close_connection = True  # the body's extent is unknown
-            self._respond(
-                400,
-                {
-                    "message": "Content-Length must be a non-negative integer",
-                    "received": 0,
-                },
-            )
-            return
-        if length > self.server.max_bytes:
-            self.close_connection = True
-            self._respond(
-                413,
-                {
-                    "message": f"payload {length} bytes exceeds "
-                    f"limit {self.server.max_bytes}",
-                    "received": 0,
-                },
-            )
-            return
-        body = self.rfile.read(length)
-        try:
-            doc = parse_json(body, FormatError, "payload")
-            items = _parse_payload_records(doc)
-            ids = self.server.store.append_batch(items)
-        except (ValueError, FormatError, DecodeError) as exc:
-            self._respond(400, {"message": str(exc), "received": 0})
-            return
-        except Exception as exc:  # noqa: BLE001 - surface as a server error
-            self._respond(500, {"message": str(exc), "received": 0})
-            return
-        self._respond(
-            200, {"message": f"stored {len(ids)} records", "received": len(ids)}
-        )
-
-    def log_message(self, format, *args):  # noqa: A002 - base class signature
-        pass  # keep test and CLI output clean
-
-
-class _IngestHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-
-    def __init__(self, address, store, max_bytes):
-        super().__init__(address, _IngestHandler)
-        self.store = store
-        self.max_bytes = max_bytes
-
-
 class IngestServer:
     """Running ingest server handle; usable as a context manager."""
 
-    def __init__(self, httpd: _IngestHTTPServer, thread: threading.Thread):
+    def __init__(self, httpd, thread: threading.Thread):
         self._httpd = httpd
         self._thread = thread
 
@@ -320,8 +248,10 @@ def serve_ingest(
     host, _, port_text = bind.rpartition(":")
     if not host or not port_text.isdigit():
         raise FormatError(f"bind address {bind!r} must be host:port")
+    from speedcam.ingest_http import IngestHTTPServer
+
     store = RecordStore(data_dir)
-    httpd = _IngestHTTPServer((host, int(port_text)), store, max_bytes)
+    httpd = IngestHTTPServer((host, int(port_text)), store, max_bytes)
     thread = threading.Thread(target=httpd.serve_forever, name="ingest", daemon=True)
     thread.start()
     return IngestServer(httpd, thread)

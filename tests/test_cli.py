@@ -1,6 +1,7 @@
 """End-to-end command-line workflows over temporary directories."""
 
 import json
+import shutil
 from datetime import datetime
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import _build_patch_case
+from test_imaging import _counted_load_pgm
 from test_mblbp import XML_EXPECTED, XML_FIXTURE
 
 from speedcam import capture, cli, detector, imaging, mblbp, speedpipe, trainer
@@ -618,6 +620,82 @@ def test_a_manifest_that_names_no_frames_is_an_error(workflow, capsys, tmp_path,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {seq / imaging.MANIFEST_NAME} names no frames\n"
+
+
+def _corrupt_copy(workflow, root, index):
+    """A copy of the workflow sequence whose frame `index` is not a PGM."""
+    seq = root / "seq"
+    shutil.copytree(workflow.seq, seq)
+    bad = seq / f"frame_{index:05d}.pgm"
+    bad.write_bytes(b"P2 640 360 255\n")
+    return seq, bad
+
+
+@pytest.mark.parametrize("command", ["detect", "speed"])
+@pytest.mark.parametrize(
+    "manifest, error",
+    [
+        ("frame_00000.pgm\t0\nframe_00001.pgm\t0\n", "does not exceed previous 0"),
+        ("frame_00000.pgm\t0\nmissing.pgm\t33\n", "missing file missing.pgm"),
+        ("frame_00000.pgm\t0\n../seq/frame_00001.pgm\t33\n", "no directory part"),
+        ("frame_00000.pgm\tsoon\n", "not an integer"),
+        (None, "fps 5000 gives frame_00000.pgm and frame_00001.pgm the same"),
+    ],
+)
+def test_sequence_errors_fail_before_any_frame_is_decoded(
+    workflow, capsys, tmp_path, monkeypatch, command, manifest, error
+):
+    seq, _ = _corrupt_copy(workflow, tmp_path, 1)
+    argv = [command, "--frames", str(seq), "--model", str(workflow.model)]
+    if manifest is None:
+        (seq / imaging.MANIFEST_NAME).unlink()
+        argv += ["--fps", "5000"]
+    else:
+        (seq / imaging.MANIFEST_NAME).write_text(manifest, encoding="utf-8")
+    decoded = _counted_load_pgm(monkeypatch)
+    capsys.readouterr()
+    assert run(argv + (["--px-per-m", "100"] if command == "speed" else [])) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and decoded == []
+    assert err.startswith("error:") and error in err and err.count("\n") == 1
+
+
+def test_detect_prints_the_frames_before_a_corrupt_one(workflow, capsys, tmp_path):
+    argv = ["--model", str(workflow.model)] + _det_args(workflow.case.params)
+    capsys.readouterr()
+    assert run(["detect", "--frames", str(workflow.seq), *argv]) == 0
+    clean = capsys.readouterr().out.splitlines()
+    seq, bad = _corrupt_copy(workflow, tmp_path, 7)
+    assert run(["detect", "--frames", str(seq), *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [line for line in clean if int(line.split("\t")[0]) < 7]
+    assert err == f"error: {bad}: bad magic b'P2': expected binary graymap 'P5'\n"
+
+
+def test_speed_prints_no_estimate_when_a_frame_before_complete_is_corrupt(
+    workflow, capsys, tmp_path
+):
+    seq, bad = _corrupt_copy(workflow, tmp_path, 7)
+    argv = ["speed", "--frames", str(seq), "--model", str(workflow.model), "--px-per-m", "100"]
+    capsys.readouterr()
+    assert run(argv + _det_args(workflow.case.params)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {bad}: bad magic") and "Traceback" not in err
+
+
+def test_speed_decodes_no_frame_after_complete(workflow, capsys, tmp_path, monkeypatch):
+    # two windows of five detections complete at frame 9 of the 20
+    argv = ["--model", str(workflow.model), "--px-per-m", "100", "--windows", "2"]
+    argv += _det_args(workflow.case.params)
+    capsys.readouterr()
+    assert run(["speed", "--frames", str(workflow.seq), *argv]) == 0
+    clean = capsys.readouterr().out
+    seq, _ = _corrupt_copy(workflow, tmp_path, 10)
+    decoded = _counted_load_pgm(monkeypatch)
+    assert run(["speed", "--frames", str(seq), *argv]) == 0
+    assert capsys.readouterr().out == clean
+    assert len(decoded) == 10  # frames 0-9, each once
 
 
 @pytest.mark.parametrize("value", ["nan", "0", "-5", "inf"])

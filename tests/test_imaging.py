@@ -1,5 +1,7 @@
 """Frame I/O, integral tables, synthetic sequences, sequence persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,19 @@ def test_a_rate_that_gives_two_frames_one_timestamp_is_a_config_error(tmp_path):
     assert [f.timestamp_ms for f in imaging.read_sequence(d, fps=1000)] == [0, 1, 2]
 
 
+def _counted_load_pgm(monkeypatch):
+    """The sizes of the byte strings imaging.load_pgm is called with, from now on."""
+    decoded = []
+    load_pgm = imaging.load_pgm
+
+    def counted(data):
+        decoded.append(len(data))
+        return load_pgm(data)
+
+    monkeypatch.setattr(imaging, "load_pgm", counted)
+    return decoded
+
+
 def test_sequence_manifest_errors(tmp_path, monkeypatch):
     d = tmp_path / "seq"
     d.mkdir()
@@ -256,19 +271,60 @@ def test_sequence_manifest_errors(tmp_path, monkeypatch):
     for path in [d / "sub" / "x.pgm", tmp_path / "outside" / "x.pgm"]:
         path.parent.mkdir()
         path.write_bytes(pgm)
-    decoded = []
-    load_pgm = imaging.load_pgm
-
-    def counted(data):
-        decoded.append(data)
-        return load_pgm(data)
-
-    monkeypatch.setattr(imaging, "load_pgm", counted)
+    decoded = _counted_load_pgm(monkeypatch)
     for name in ["../outside/x.pgm", str(tmp_path / "outside" / "x.pgm"), "sub/x.pgm", ".."]:
         (d / "manifest.tsv").write_text(f"a.pgm\t0\n{name}\t5\n", encoding="utf-8")
         with pytest.raises(FormatError, match="manifest.tsv:2: .*no directory part"):
             imaging.read_sequence(d)
     assert decoded == []  # refused before the first frame was read
+
+
+def test_a_sequence_decodes_each_frame_when_it_is_reached(tmp_path, monkeypatch):
+    w, h, n = 320, 240, 200
+    rng = np.random.default_rng(3)
+    d = tmp_path / "seq"
+    d.mkdir()
+    lines = []
+    for k in range(n):
+        px = np.full((h, w), k % 256, np.uint8)
+        px[0] = rng.integers(0, 256, w, np.uint8)
+        (d / f"f{k:03d}.pgm").write_bytes(imaging.save_pgm(Frame(w, h, px)))
+        lines.append(f"f{k:03d}.pgm\t{33 * k}\n")
+    (d / imaging.MANIFEST_NAME).write_text("".join(lines), encoding="utf-8")
+    decoded = _counted_load_pgm(monkeypatch)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        seq = imaging.read_sequence(d)
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        seen = [(f.timestamp_ms, int(f.pixels[1, 0])) for f in seq]
+        peak = tracemalloc.get_traced_memory()[1] - base - held
+    finally:
+        tracemalloc.stop()
+    assert seen == [(33 * k, k % 256) for k in range(n)]
+    assert len(decoded) == n  # one decode per frame reached, none up front
+    # the sequence holds names and times; iterating it, about two frames
+    assert held < w * h
+    assert peak < 2.5 * w * h
+    # it stays sized, indexable and re-iterable, and caches nothing
+    assert len(seq) == n and seq[-1].timestamp_ms == 33 * (n - 1)
+    assert sum(1 for _ in seq) == n
+    assert len(decoded) == 2 * n + 1
+
+
+def test_a_corrupt_frame_fails_when_it_is_reached(tmp_path):
+    d = tmp_path / "seq"
+    d.mkdir()
+    for k in range(3):
+        (d / f"f{k}.pgm").write_bytes(imaging.save_pgm(Frame(2, 2, np.full((2, 2), k, np.uint8))))
+    (d / "f1.pgm").write_bytes(b"P2 2 2 255\n")
+    seq = imaging.read_sequence(d, fps=10)
+    frames = iter(seq)
+    assert next(frames).pixels[0, 0] == 0
+    with pytest.raises(FormatError, match=r"f1\.pgm: bad magic b'P2'"):
+        next(frames)
+    assert seq[2].pixels[0, 0] == 2
 
 
 def test_draw_rect_outlines_without_mutating():

@@ -2,18 +2,23 @@
 
 import http.client
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from speedcam import uplink
+import speedcam
+from speedcam import ingest_http, uplink  # noqa: F401 - loaded before any patch
 from speedcam.capture import RecordStore, make_record
 from speedcam.errors import (
     DecodeError,
@@ -401,6 +406,8 @@ def test_post_upload_wraps_a_stalled_or_broken_reply(monkeypatch, reply):
 
 
 def test_ingest_drops_a_client_that_stalls_mid_body(monkeypatch, tmp_path):
+    # this file imports ingest_http before the patch: a copy of TIMEOUT_S
+    # taken when it was imported would keep the old 30 s
     monkeypatch.setattr(uplink, "TIMEOUT_S", 0.2)
     with serve_ingest("127.0.0.1:0", tmp_path / "server") as server:
         netloc = urllib.parse.urlsplit(server.endpoint).netloc
@@ -411,6 +418,24 @@ def test_ingest_drops_a_client_that_stalls_mid_body(monkeypatch, tmp_path):
             assert client.recv(1) == b""  # the handler timed out and closed
             assert time.monotonic() - start < 5
         assert server.store.list_all() == []
+
+
+def test_no_module_but_ingest_http_loads_an_http_module():
+    # every module of the package, the command line among them, imported
+    # in a fresh process; the HTTP modules load only when upload or serve runs
+    code = (
+        "import pkgutil, sys, speedcam\n"
+        "for m in pkgutil.iter_modules(speedcam.__path__):\n"
+        "    if m.name != 'ingest_http':\n"
+        "        __import__('speedcam.' + m.name)\n"
+        "print(sorted({'http.client', 'http.server', 'urllib.request'} & set(sys.modules)))\n"
+    )
+    src = str(Path(speedcam.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_serve_ingest_validates_bind():
