@@ -1,7 +1,9 @@
 """Pinned outputs: sha256 digests of ``detector.scan`` rects and
 ``detector.detect`` detections on seeded inputs this file builds itself,
-and of the ``detect`` TSV and the ``speed`` estimate JSON that the command
-line prints over a seeded ``synth`` sequence.
+of the ``detect`` TSV and the ``speed`` estimate JSON that the command
+line prints over a seeded ``synth`` sequence, of ``save_model`` text of
+seeded ``train_cascade`` runs, and of a seeded record store's ``records
+list`` stdout, ``records.log`` bytes and upload payload JSON.
 
 The digests were taken before any change they guard. A change to the scan
 that keeps its outputs keeps them; one that must move a digest says why.
@@ -10,15 +12,17 @@ pass by skipping the path it was meant to pin.
 """
 
 import hashlib
+from datetime import datetime
 
 import numpy as np
 import pytest
 
 from conftest import _build_patch_case
 
-from speedcam import detector, imaging, kernels, mblbp
+from speedcam import capture, detector, imaging, kernels, mblbp, trainer, uplink
 from speedcam.cli import run
 from speedcam.imaging import Frame
+from speedcam.trainer import NEGATIVE, POSITIVE, TrainConfig, TrainSample
 
 WINDOW_W, WINDOW_H = 24, 12
 
@@ -227,3 +231,118 @@ def test_cli_stdout_is_pinned(synth_case, capsys, command):
     out = capsys.readouterr().out
     assert out  # a detection or an estimate was printed
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_GOLDEN[command]
+
+
+def _training_set(w, h, n_pos, n_neg, n_twins, seed):
+    """Positives with a bright bar across noise, noise negatives, and
+    negative twins of the first positives, which no stage can reject."""
+    rng = np.random.default_rng(seed)
+    pos = []
+    for _ in range(n_pos):
+        px = rng.integers(0, 80, (h, w), np.uint8)
+        px[h // 3 : 2 * h // 3, w // 4 : 3 * w // 4] = rng.integers(160, 256)
+        pos.append(TrainSample(Frame(w, h, px), POSITIVE))
+    neg = [
+        TrainSample(Frame(w, h, rng.integers(0, 256, (h, w), np.uint8)), NEGATIVE)
+        for _ in range(n_neg)
+    ]
+    return pos, neg + [TrainSample(p.window, NEGATIVE) for p in pos[:n_twins]]
+
+
+# (window w, h, positives, negatives, twins, seed), config, sha256 of save_model
+TRAIN_GOLDEN = {
+    "twins": (
+        (6, 6, 8, 8, 3, 2801), TrainConfig(2, 3, stage_tpr_target=1.0),
+        "d1127ccf712eeb28190311e9e3e926982149b0bb994745ba105daca529e5291b",
+    ),
+    "wide_stride_1": (
+        (14, 9, 12, 12, 3, 2802), TrainConfig(3, 4, stage_tpr_target=0.9),
+        "2c7652213ab919b69d14e4c085fdde59f23ae87160a21ae35313d275fbbf6c5f",
+    ),
+    "wide_stride_2": (
+        (14, 9, 12, 12, 3, 2802), TrainConfig(3, 4, stage_tpr_target=0.9, feature_stride=2),
+        "31f93715325529a93dc0776052fadaee57cfa03a7305249867777ebccd94fbc0",
+    ),
+}
+
+
+def _tied_features(monkeypatch):
+    """Per best_weak call, how many features reach its minimal error."""
+    counts = []
+    search = trainer.best_weak
+
+    def counted(samples, features, cache):
+        weak, err = search(samples, features, cache)
+        weights = np.array([s.weight for s in samples])
+        nf = cache.codes.shape[1]
+        keys = cache.codes.astype(np.int64) + np.arange(nf) * 256
+
+        def mass(rows):
+            w = np.broadcast_to(weights[rows][:, None], keys[rows].shape)
+            return np.bincount(keys[rows].ravel(), w.ravel(), nf * 256).reshape(nf, 256)
+
+        errors = np.minimum(mass(cache.positive), mass(~cache.positive)).sum(axis=1)
+        counts.append(int(np.count_nonzero(errors == err)))
+        return weak, err
+
+    monkeypatch.setattr(trainer, "best_weak", counted)
+    return counts
+
+
+@pytest.mark.parametrize("case", sorted(TRAIN_GOLDEN))
+def test_trained_model_text_is_pinned(monkeypatch, case):
+    inputs, config, want = TRAIN_GOLDEN[case]
+    ties = _tied_features(monkeypatch)
+    model = trainer.train_cascade(*_training_set(*inputs), config)
+    assert max(ties) > 1  # some weak search picks the first of tied features
+    assert len(model.stages) > 1
+    text = mblbp.save_model(model)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
+
+
+# sha256 of the seeded store's ``records list`` stdout, ``records.log`` and
+# ``build_payload`` JSON
+STORE_GOLDEN = {
+    "records list": "3222f219884778b353d73a6ea2b96c8585a6ad891ddb76dc091185e7ae093a22",
+    "records.log": "aaf6a12b31bbeac3ba82ed73b4ed73162fbfeb8f021bdbada037ba538554dc31",
+    "payload": "aefdc95ef580510e1c4767dd1098d2cf71720a7a92b3608a15b5227ff7f91534",
+}
+
+
+@pytest.fixture(scope="module")
+def seeded_store(synth_case, tmp_path_factory):
+    """Two ``speed --capture`` records under a pinned clock, then three
+    seeded ones, the last without its image file."""
+    store_dir = tmp_path_factory.mktemp("golden_store") / "store"
+    for unit, when in (("app-reading", (9, 17, 32)), ("km-h", (10, 5, 1))):
+        argv = ["speed", *synth_case, "--px-per-m", "37.5", "--capture",
+                "--store", str(store_dir), "--location", "Main St", "--record-unit", unit]
+        assert run(argv, clock=lambda: datetime(2016, 9, 26, *when)) == 0
+    rng = np.random.default_rng(2803)
+    store = capture.RecordStore(store_dir)
+    items = [
+        (capture.make_record(float(rng.uniform(5, 160)), place, f"2016-09-27_0{k}_3{k}_0{k}"),
+         rng.bytes(int(rng.integers(1, 200))))
+        for k, place in enumerate(["Elm Rd", "Gro\u00dfe Stra\u00dfe", "A4 \"north\"\tlane"])
+    ]
+    store.append_batch(items)
+    store.image_path(store.list_all()[-1]).unlink()
+    return store_dir
+
+
+def test_record_store_outputs_are_pinned(seeded_store, capsys):
+    capsys.readouterr()
+    assert run(["records", "list", "--store", str(seeded_store)]) == 0
+    listed = capsys.readouterr().out
+    assert len(listed.splitlines()) == 5
+    payload, warnings = uplink.build_payload(capture.RecordStore(seeded_store))
+    assert warnings == [
+        "record 5: image vehicle_picture_2016-09-27_02_32_02.jpg missing, "
+        "uploading without picture"
+    ]
+    got = {
+        "records list": listed.encode("utf-8"),
+        "records.log": (seeded_store / "records.log").read_bytes(),
+        "payload": payload.to_json().encode("utf-8"),
+    }
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == STORE_GOLDEN
