@@ -170,11 +170,12 @@ def scaled_grid(f: MbLbpFeature, origin, scale: float):
 
 
 def scaled_feature_arrays(features, scale):
-    """(fx, fy, fbw, fbh) int64 arrays placing a feature table at a scale.
+    """(fx, fy, fbw, fbh) int64 arrays placing a model's features at a scale.
 
     Entry i is scaled_grid(features[i], (0, 0), scale), the array form the
-    kernels take: the same float64 products, rounded half up. scale may be
-    an array of scales; each array is then (n_scales, n_features).
+    scan kernels take: the same float64 products, rounded half up. scale
+    may be an array of scales; each array is then (n_scales, n_features).
+    Only the detector's scan plan calls it; the trainer's table is at scale 1.
     """
     table = np.fromiter(
         ((f.bx, f.by, f.bw, f.bh) for f in features), np.dtype((np.int64, 4)), len(features)

@@ -22,7 +22,6 @@ from speedcam.mblbp import (
     MbLbpFeature,
     Stage,
     WeakClassifier,
-    scaled_feature_arrays,
     subset_from_codes,
     subset_mask,
     vote_table,
@@ -35,10 +34,10 @@ NEGATIVE = "negative"
 # and best_weak's search arrays
 CACHE_MAX_BYTES = 1 << 30
 
-# one enumerated MbLbpFeature with its list slot (112 B on 64-bit CPython, by
-# tracemalloc) plus its four int64 entries in the scaled_feature_arrays
-# build_cache places the features with
-FEATURE_BYTES = 112 + 4 * 8
+# enumerate_features' peak per feature, by tracemalloc: the (n, 4) int64
+# table it returns (32 B) and two int64 index temporaries; 48 B on large
+# tables, 54 B on the 576 features of a 24x12 window at stride 2
+FEATURE_BYTES = 56
 
 # per sample and feature: the uint8 code, best_weak's int64 bin key and its
 # float64 weight plane
@@ -88,23 +87,40 @@ class TrainConfig:
             raise ConfigError("feature_stride must be at least 1")
 
 
-def enumerate_features(window_w: int, window_h: int, stride: int = 1) -> list[MbLbpFeature]:
-    """Every 3x3 block grid that fits the window, anchors on the stride grid.
+def _axis_anchors(size: int, stride: int):
+    """One axis of the feature grid: the block sizes 1..size // 3, and for
+    each how many anchors on the stride grid keep three blocks inside size."""
+    blocks = np.arange(1, size // 3 + 1, dtype=np.int64)
+    return blocks, (size - 3 * blocks) // stride + 1
+
+
+def enumerate_features(window_w: int, window_h: int, stride: int = 1) -> np.ndarray:
+    """Every 3x3 block grid that fits the window, anchors on the stride grid,
+    as an (n, 4) int64 table of rows (bx, by, bw, bh).
 
     Block sizes take every integer value; only the anchor positions are
-    stride-quantized. Order is bh-major, then bw, by, bx.
+    stride-quantized. Order is bh-major, then bw, by, bx. Each axis follows
+    ``_axis_anchors``, the rule ``feature_count`` counts with.
     """
     if window_w < 3 or window_h < 3:
         raise ConfigError(f"window {window_w}x{window_h} smaller than 3x3")
     if stride < 1:
         raise ConfigError("stride must be at least 1")
-    features = []
-    for bh in range(1, window_h // 3 + 1):
-        for bw in range(1, window_w // 3 + 1):
-            for by in range(0, window_h - 3 * bh + 1, stride):
-                for bx in range(0, window_w - 3 * bw + 1, stride):
-                    features.append(MbLbpFeature(bx, by, bw, bh))
-    return features
+    bws, nxs = _axis_anchors(window_w, stride)
+    bhs, nys = _axis_anchors(window_h, stride)
+    # one run of ny * nx rows per block size (bh, bw), bh-major
+    runs = np.outer(nys, nxs).ravel()
+    table = np.empty((int(runs.sum()), 4), dtype=np.int64)
+    table[:, 2] = np.repeat(np.tile(bws, bhs.size), runs)
+    table[:, 3] = np.repeat(bhs, nys * nxs.sum())
+    # row k of a run anchors at (k % nx, k // nx) times the stride
+    k = np.arange(len(table))
+    k -= np.repeat(np.cumsum(runs) - runs, runs)
+    by, bx = table[:, 1], table[:, 0]
+    np.divmod(k, np.repeat(np.tile(nxs, bhs.size), runs), out=(by, bx))
+    by *= stride
+    bx *= stride
+    return table
 
 
 def feature_count(window_w: int, window_h: int, stride: int = 1) -> int:
@@ -113,11 +129,8 @@ def feature_count(window_w: int, window_h: int, stride: int = 1) -> int:
     A feature's x choices (bw, then bx) do not depend on its y choices (bh,
     then by), so the count is the product of one sum per axis.
     """
-
-    def anchors(size):
-        return sum((size - 3 * b) // stride + 1 for b in range(1, size // 3 + 1))
-
-    return anchors(window_w) * anchors(window_h)
+    (_, nxs), (_, nys) = _axis_anchors(window_w, stride), _axis_anchors(window_h, stride)
+    return int(nxs.sum()) * int(nys.sum())
 
 
 def _cache_bytes(n_samples: int, n_features: int, window_w: int, window_h: int) -> int:
@@ -175,9 +188,13 @@ class _WeakSearch:
         self.mins = np.empty((nf, 256), dtype=np.float64)
 
 
-def build_cache(samples: list[TrainSample], features: list[MbLbpFeature]) -> SampleCache:
+def build_cache(samples: list[TrainSample], features: np.ndarray) -> SampleCache:
     """Stack the sample pixels, take their prefix sums and evaluate every
     feature on every sample.
+
+    features is an (n, 4) int64 table of rows (bx, by, bw, bh), as
+    ``enumerate_features`` returns; its columns go to ``kernels.codes_stack``
+    as they are.
 
     Refuses with ConfigError, before allocating, when the prefix tables, the
     feature table, the codes and the arrays ``best_weak`` derives from them
@@ -185,7 +202,7 @@ def build_cache(samples: list[TrainSample], features: list[MbLbpFeature]) -> Sam
     """
     if not samples:
         raise ConfigError("no samples")
-    if not features:
+    if not len(features):
         raise ConfigError("no features")
     w0, h0 = samples[0].window.width, samples[0].window.height
     for s in samples:
@@ -196,16 +213,12 @@ def build_cache(samples: list[TrainSample], features: list[MbLbpFeature]) -> Sam
             )
     _check_cache_size(len(samples), len(features), w0, h0)
     table = prefix_sums(np.stack([s.window.pixels for s in samples], axis=-1), kernels.TABLE_DTYPE)
-    codes = kernels.codes_stack(table, *scaled_feature_arrays(features, 1.0))
+    codes = kernels.codes_stack(table, *features.T)
     positive = np.array([s.label == POSITIVE for s in samples], dtype=bool)
     return SampleCache(codes=codes, positive=positive)
 
 
-def best_weak(
-    samples: list[TrainSample],
-    features: list[MbLbpFeature],
-    cache: SampleCache,
-):
+def best_weak(samples: list[TrainSample], features: np.ndarray, cache: SampleCache):
     """Minimal weighted-error weak over all features; ties take the first.
 
     For each feature, code c joins the subset iff positive mass at c
@@ -225,13 +238,8 @@ def best_weak(
     errors = np.minimum(pos_mass, neg_mass, out=search.mins).sum(axis=1)
     fbest = int(np.argmin(errors))  # first occurrence keeps enumeration order
     in_codes = np.nonzero(pos_mass[fbest] > neg_mass[fbest])[0]
-    weak = WeakClassifier(
-        feature_index=fbest,
-        subset=subset_from_codes(int(c) for c in in_codes),
-        leaf_in=1.0,
-        leaf_out=-1.0,
-    )
-    return weak, float(errors[fbest])
+    subset = subset_from_codes(int(c) for c in in_codes)
+    return WeakClassifier(fbest, subset, leaf_in=1.0, leaf_out=-1.0), float(errors[fbest])
 
 
 def boost_round(
@@ -252,8 +260,7 @@ def boost_round(
     weights = np.array([s.weight for s in samples], dtype=np.float64)
     weights = weights * np.where(correct, math.exp(-alpha), math.exp(alpha))
     weights /= weights.sum()
-    updated = [TrainSample(s.window, s.label, w) for s, w in zip(samples, weights.tolist())]
-    return alpha, updated
+    return alpha, [TrainSample(s.window, s.label, w) for s, w in zip(samples, weights.tolist())]
 
 
 def _stage_scores(stage: Stage, cache: SampleCache) -> np.ndarray:
@@ -265,18 +272,21 @@ def _stage_scores(stage: Stage, cache: SampleCache) -> np.ndarray:
 
 def train_stage(
     samples: list[TrainSample],
-    features: list[MbLbpFeature],
+    features: np.ndarray,
     config: TrainConfig,
     cache: SampleCache | None = None,
 ) -> Stage:
     """Boost weaks until the cap (or a perfect weak), then set the threshold.
 
+    features is ``enumerate_features``' (n, 4) table; a weak's
+    ``feature_index`` is its row. ``cache``, when given, holds the codes of
+    these samples and features in this order, and no other is built.
+
     Weights start uniform. The threshold is the largest value passing at
     least stage_tpr_target of the positive training samples: the k-th
     highest positive score with k = ceil(target * n_pos).
     """
-    labels = {s.label for s in samples}
-    if labels != {POSITIVE, NEGATIVE}:
+    if {s.label for s in samples} != {POSITIVE, NEGATIVE}:
         raise ConfigError("training a stage needs both positive and negative samples")
     if cache is None:
         cache = build_cache(samples, features)
@@ -289,12 +299,10 @@ def train_stage(
         folded.append(replace(weak, leaf_in=alpha, leaf_out=-alpha))
         if err < EPSILON_CLAMP:
             break
-    stage = Stage(threshold=0.0, weaks=tuple(folded))
-    scores = _stage_scores(stage, cache)
+    scores = _stage_scores(Stage(threshold=0.0, weaks=tuple(folded)), cache)
     pos_scores = np.sort(scores[cache.positive])[::-1]
     k = math.ceil(config.stage_tpr_target * pos_scores.size)
-    threshold = float(pos_scores[k - 1])
-    return Stage(threshold=threshold, weaks=tuple(folded))
+    return Stage(threshold=float(pos_scores[k - 1]), weaks=tuple(folded))
 
 
 def train_cascade(
@@ -308,15 +316,10 @@ def train_cascade(
     """
     if not pos or not neg:
         raise ConfigError("training needs at least one positive and one negative")
-    window_w = pos[0].window.width
-    window_h = pos[0].window.height
+    window_w, window_h = pos[0].window.width, pos[0].window.height
     # refuse an oversized cache before the feature table is built
-    _check_cache_size(
-        len(pos) + len(neg),
-        feature_count(window_w, window_h, config.feature_stride),
-        window_w,
-        window_h,
-    )
+    n_features = feature_count(window_w, window_h, config.feature_stride)
+    _check_cache_size(len(pos) + len(neg), n_features, window_w, window_h)
     features = enumerate_features(window_w, window_h, config.feature_stride)
 
     # one cache over the positives then every negative; each stage trains
@@ -336,17 +339,13 @@ def train_cascade(
         if not active.size:
             break
 
-    index_map = {}
-    used = []
-    remapped_stages = []
+    # the model holds a feature object only for each table row its weaks
+    # read, numbered in first-use order
+    rows = dict.fromkeys(w.feature_index for stage in stages for w in stage.weaks)
+    number = {f: k for k, f in enumerate(rows)}
+    model_stages = []
     for stage in stages:
-        weaks = []
-        for w in stage.weaks:
-            if w.feature_index not in index_map:
-                index_map[w.feature_index] = len(used)
-                used.append(features[w.feature_index])
-            weaks.append(replace(w, feature_index=index_map[w.feature_index]))
-        remapped_stages.append(Stage(stage.threshold, tuple(weaks)))
-    return CascadeModel(
-        tuple(used), tuple(remapped_stages), window_w=window_w, window_h=window_h
-    )
+        weaks = [replace(w, feature_index=number[w.feature_index]) for w in stage.weaks]
+        model_stages.append(Stage(stage.threshold, tuple(weaks)))
+    used = tuple(MbLbpFeature(*features[f].tolist()) for f in rows)
+    return CascadeModel(used, tuple(model_stages), window_w=window_w, window_h=window_h)

@@ -56,6 +56,17 @@ def count_features(window_w: int, window_h: int, stride: int) -> int:
     return count
 
 
+def brute_features(window_w: int, window_h: int, stride: int) -> list:
+    """Brute-force feature rows (bx, by, bw, bh) in the order bh, bw, by, bx."""
+    return [
+        (bx, by, bw, bh)
+        for bh in range(1, window_h // 3 + 1)
+        for bw in range(1, window_w // 3 + 1)
+        for by in range(0, window_h - 3 * bh + 1, stride)
+        for bx in range(0, window_w - 3 * bw + 1, stride)
+    ]
+
+
 def exhaustive_best_error(codes: np.ndarray, positive: np.ndarray, weights: np.ndarray):
     """Minimum weighted error over every (feature, subset-of-codes) choice.
 

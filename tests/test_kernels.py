@@ -119,14 +119,15 @@ def test_codes_stack_groups_interleaved_block_sizes():
     frames = [Frame(13, 10, rng.integers(0, 256, (10, 13), np.uint8)) for _ in range(4)]
     sums = np.stack([imaging.integral(f) for f in frames], axis=-1)
     feats = trainer.enumerate_features(13, 10, 2)
-    feats = [feats[k] for k in rng.permutation(len(feats))]
-    sizes = [(f.bw, f.bh) for f in feats]
+    feats = feats[rng.permutation(len(feats))]
+    sizes = [(bw, bh) for _, _, bw, bh in feats.tolist()]
     runs = 1 + sum(a != b for a, b in zip(sizes, sizes[1:]))
     assert runs > len(set(sizes))  # some block size recurs after another
-    got = kernels.codes_stack(sums, *mblbp.scaled_feature_arrays(feats, 1.0))
+    got = kernels.codes_stack(sums, *feats.T)
+    objects = [mblbp.MbLbpFeature(*row) for row in feats.tolist()]
     for i, frame in enumerate(frames):
         ii = imaging.integral(frame)
-        assert got[i].tolist() == [mblbp.lbp_code(ii, f, (0, 0)) for f in feats]
+        assert got[i].tolist() == [mblbp.lbp_code(ii, f, (0, 0)) for f in objects]
 
 
 @pytest.mark.parametrize(
@@ -149,13 +150,16 @@ def test_codes_stack_matches_lbp_code_on_an_odd_window_at_stride_one():
     rng = np.random.default_rng(8)
     frames = [Frame(17, 11, rng.integers(0, 256, (11, 17), np.uint8)) for _ in range(5)]
     feats = trainer.enumerate_features(17, 11)
-    assert {(f.bw, f.bh) for f in feats} == {(bw, bh) for bw in range(1, 6) for bh in range(1, 4)}
+    assert {(bw, bh) for _, _, bw, bh in feats.tolist()} == {
+        (bw, bh) for bw in range(1, 6) for bh in range(1, 4)
+    }
     table = imaging.prefix_sums(np.stack([f.pixels for f in frames], axis=-1))
-    got = kernels.codes_stack(table, *mblbp.scaled_feature_arrays(feats, 1.0))
+    got = kernels.codes_stack(table, *feats.T)
     assert got.shape == (5, len(feats)) and got.dtype == np.uint8 and got.flags.c_contiguous
+    objects = [mblbp.MbLbpFeature(*row) for row in feats.tolist()]
     for i, frame in enumerate(frames):
         ii = imaging.integral(frame)
-        assert got[i].tolist() == [mblbp.lbp_code(ii, f, (0, 0)) for f in feats]
+        assert got[i].tolist() == [mblbp.lbp_code(ii, f, (0, 0)) for f in objects]
 
 
 def test_scan_lattices_matches_eval_window_at_every_origin():
@@ -732,8 +736,7 @@ def test_a_table_that_wraps_past_2_32_gives_the_int64_codes_and_mask():
         outcomes.update(np.unique(want).tolist())
     assert outcomes == {False, True}
     stack = imaging.prefix_sums(np.stack([f.pixels for f in frames], axis=-1))
-    feats = trainer.enumerate_features(12, 9)
-    arrays = mblbp.scaled_feature_arrays(feats, 1.0)
+    arrays = trainer.enumerate_features(12, 9).T
     want = kernels.codes_stack(stack, *arrays)
     assert np.array_equal(kernels.codes_stack(_wrapped(stack, 2**32 - k), *arrays), want)
 

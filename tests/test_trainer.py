@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import bincount_weak_search, count_features, exhaustive_best_error
+from oracles import bincount_weak_search, brute_features, count_features, exhaustive_best_error
 from speedcam import imaging, mblbp, trainer
 from speedcam.errors import ConfigError
 from speedcam.imaging import Frame
@@ -75,7 +75,9 @@ def test_enumerate_matches_oracle_on_random_windows():
         w = int(rng.integers(3, 20))
         h = int(rng.integers(3, 20))
         stride = int(rng.integers(1, 4))
-        assert len(enumerate_features(w, h, stride)) == count_features(w, h, stride)
+        feats = enumerate_features(w, h, stride)
+        assert len(feats) == count_features(w, h, stride)
+        assert [tuple(row) for row in feats.tolist()] == brute_features(w, h, stride)
 
 
 def test_feature_count_matches_oracle():
@@ -88,22 +90,36 @@ def test_feature_count_matches_oracle():
 
 def test_enumerate_order_is_bh_bw_by_bx():
     feats = enumerate_features(6, 6)
-    as_tuples = [(f.bh, f.bw, f.by, f.bx) for f in feats]
+    assert feats.dtype == np.int64 and feats.shape == (len(feats), 4)
+    as_tuples = [(bh, bw, by, bx) for bx, by, bw, bh in feats.tolist()]
     assert as_tuples == sorted(as_tuples)
-    assert feats[0] == MbLbpFeature(0, 0, 1, 1)
-    assert feats[-1] == MbLbpFeature(0, 0, 2, 2)
+    assert feats[0].tolist() == [0, 0, 1, 1]
+    assert feats[-1].tolist() == [0, 0, 2, 2]
 
 
 def test_enumerate_stride_quantizes_anchors_not_sizes():
-    feats = enumerate_features(9, 9, 3)
-    assert all(f.bx % 3 == 0 and f.by % 3 == 0 for f in feats)
-    assert {f.bw for f in feats} == {1, 2, 3}
+    feats = enumerate_features(9, 9, 3).tolist()
+    assert all(bx % 3 == 0 and by % 3 == 0 for bx, by, _, _ in feats)
+    assert {bw for _, _, bw, _ in feats} == {1, 2, 3}
 
 
 def test_enumerate_every_feature_fits():
-    for f in enumerate_features(10, 7, 2):
-        assert f.bx + 3 * f.bw <= 10
-        assert f.by + 3 * f.bh <= 7
+    for bx, by, bw, bh in enumerate_features(10, 7, 2).tolist():
+        assert bx + 3 * bw <= 10
+        assert by + 3 * bh <= 7
+
+
+@pytest.mark.parametrize("window", [(24, 12, 2), (48, 24, 1), (60, 60, 1)])
+def test_enumerate_peak_stays_within_the_counted_feature_bytes(window):
+    enumerate_features(*window)  # numpy's first-call allocations stay out
+    tracemalloc.start()
+    try:
+        table = enumerate_features(*window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 32 * len(table)
+    assert table.nbytes < peak <= feature_count(*window) * trainer.FEATURE_BYTES
 
 
 def test_enumerate_rejects_tiny_window():
@@ -128,8 +144,8 @@ def test_build_cache_codes_match_scalar_path():
     assert cache.positive.tolist() == [True, False]
     for i, s in enumerate(samples):
         ii = imaging.integral(s.window)
-        for j, f in enumerate(features):
-            assert cache.codes[i, j] == mblbp.lbp_code(ii, f, (0, 0))
+        for j, row in enumerate(features.tolist()):
+            assert cache.codes[i, j] == mblbp.lbp_code(ii, MbLbpFeature(*row), (0, 0))
 
 
 def test_build_cache_refuses_codes_over_the_memory_ceiling():
@@ -673,7 +689,7 @@ def _assert_same_cascade(model, features, stages):
     for got, want in zip(model.stages, stages):
         assert got.threshold == want.threshold
         assert [model.features[w.feature_index] for w in got.weaks] == [
-            features[w.feature_index] for w in want.weaks
+            MbLbpFeature(*features[w.feature_index].tolist()) for w in want.weaks
         ]
         assert [replace(w, feature_index=0) for w in got.weaks] == [
             replace(w, feature_index=0) for w in want.weaks
@@ -715,3 +731,21 @@ def test_train_cascade_builds_one_cache(monkeypatch):
     model = train_cascade(pos, neg, TrainConfig(2, 3, stage_tpr_target=1.0))
     assert len(model.stages) == 3
     assert calls == [len(pos) + len(neg)]
+
+
+def test_train_cascade_builds_feature_objects_only_for_the_model(monkeypatch):
+    built = []
+
+    def counting(*row):
+        built.append(row)
+        return MbLbpFeature(*row)
+
+    monkeypatch.setattr(trainer, "MbLbpFeature", counting)
+    # negative twins of positives keep every weak imperfect and both stages training
+    pos, neg = _separable_samples(12, 12, seed=71, size=(12, 24))
+    neg += [TrainSample(p.window, NEGATIVE) for p in pos[:4]]
+    assert feature_count(24, 12, 2) == 576
+    model = train_cascade(pos, neg, TrainConfig(3, 2, feature_stride=2))
+    assert len(model.stages) == 2
+    assert len(built) == len(model.features) > 1
+    assert tuple(MbLbpFeature(*row) for row in built) == model.features
