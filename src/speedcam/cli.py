@@ -244,11 +244,16 @@ def cmd_calibrate(args, clock):
     return 0
 
 
+# a location prints with its backslashes, tabs and line breaks escaped, so
+# that it cannot forge columns or rows of the listing
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
 def _print_records(records):
     for r in records:
         print(
-            f"{r.id}\t{r.vehicle_speed:g}\t{r.location}\t{r.capture_time}\t"
-            f"{r.picture_filename}\t{r.speed_unit}"
+            f"{r.id}\t{r.vehicle_speed:g}\t{r.location.translate(_TSV_ESCAPES)}\t"
+            f"{r.capture_time}\t{r.picture_filename}\t{r.speed_unit}"
         )
 
 

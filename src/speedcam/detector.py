@@ -174,9 +174,7 @@ def scan(frame: Frame, model: CascadeModel, params: DetectorParams) -> list[Rect
 GROUP_BLOCK_PAIRS = 1 << 18
 
 
-def group_rects(
-    cands: list[Rect], params: DetectorParams, window_h: int | None = None
-) -> list[Detection]:
+def group_rects(cands: list[Rect], params: DetectorParams, window_h: int) -> list[Detection]:
     """Fuse similar rects into Detections with at least min_neighbors support.
 
     Two rects are similar when each edge lies within group_eps of the
@@ -187,8 +185,8 @@ def group_rects(
     memory is O(GROUP_BLOCK_PAIRS + n) and time O(n^2). Classes come out
     in order of their smallest index. Each surviving class becomes one
     Detection at the member-wise mean rect, sorted by descending area then
-    ascending (y, x). window_h, when given, anchors the reported scale;
-    otherwise scale is 1.0.
+    ascending (y, x). A detection's scale is its height over the model's
+    window_h.
     """
     r = np.array([(c.x, c.y, c.w, c.h) for c in cands], dtype=np.int64).reshape(-1, 4)
     x, y, w, h = r.T
@@ -227,8 +225,7 @@ def group_rects(
             continue
         # exact int64 sums, so each mean is the correctly rounded sum / k
         rect = Rect(*(round_half_up(s / k) for s in r[members].sum(axis=0).tolist()))
-        scale = rect.h / window_h if window_h else 1.0
-        dets.append(Detection(rect, scale, k))
+        dets.append(Detection(rect, rect.h / window_h, k))
     dets.sort(key=_det_order)
     return dets
 
@@ -240,7 +237,7 @@ def detect(frame: Frame, model: CascadeModel, params: DetectorParams) -> list[De
     one plan to every frame of a size, so ``detect`` is not reentrant: two
     threads must not detect at once. Nothing does.
     """
-    dets = group_rects(scan(frame, model, params), params, window_h=model.window_h)
+    dets = group_rects(scan(frame, model, params), params, model.window_h)
     fixed = []
     for d in dets:
         r = d.rect

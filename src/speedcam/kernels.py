@@ -68,18 +68,19 @@ most 255 x 257 = 65,535 < 2**16, so its sum taken in uint16 from
 that copy once per frame and reads the dense blocks that small from it.
 The kernels read int64 tables as well.
 
-The plan proves the bounds of the gathers: its ``reach`` is the frame
-size that holds every grid of every lattice, and ``scan_lattices``
-compares it with the table's shape once, so that ``codes_at`` skips its
-own check there. The dense reads keep theirs, a few comparisons of
-scalars per band and weak.
+The gathers have no bounds check: ``codes_at`` reads the flat table
+with a wrapping ``take``. The plan's ``reach``, the frame size that holds
+every grid of every lattice, is the guard: ``scan_lattices`` compares it
+with the table's shape once a frame, before any gather. The dense reads
+keep their own check, a few comparisons of scalars per band and weak.
 
 The plan also holds the gathers' workspace (``GatherBuffers``): the
 (4, 4, ``SCAN_CHUNK``) int64 corner index and the corners, one buffer per
-table dtype. A gather builds its index in place and reads the corners
-into them, so from a frame's second scan on, no gather makes an array of
-more than a chunk's int64s, and the heap keeps its size from frame to
-frame. The workspace makes a scan non-reentrant: two threads must not
+table dtype. No gather is larger: the survivor pool hands on at most
+``SCAN_CHUNK`` windows. A gather builds its index in place and reads the
+corners into them, so from a frame's second scan on, no gather makes an
+array of more than a chunk's int64s, and the heap keeps its size from
+frame to frame. The workspace makes a scan non-reentrant: two threads must not
 scan with one plan at once.
 
 A ``ScanPlan`` is built from the model and the lattices alone: it derives
@@ -188,10 +189,10 @@ class GatherBuffers:
     ``size`` windows, reused from gather to gather.
 
     The index is one int64 buffer, the corners one buffer per table dtype,
-    made on first use; a larger gather regrows them. They are flat, so a
-    gather of n windows reads and writes their first 16n entries as C
-    contiguous (4, 4, n) views, which ``take`` fills with no copy. One
-    gather at a time may use them.
+    made on first use. They are flat, so a gather of n windows reads and
+    writes their first 16n entries as C contiguous (4, 4, n) views, which
+    ``take`` fills with no copy; a gather of more than ``size`` windows is
+    a ValueError. One gather at a time may use them.
     """
 
     def __init__(self, size: int):
@@ -200,8 +201,6 @@ class GatherBuffers:
 
     def views(self, n: int, dtype):
         """(4, 4, n) views of the index and of the corners of a dtype table."""
-        if self.index.size < 16 * n:
-            self.index, self.corners = np.empty(16 * n, dtype=np.int64), {}
         dtype = np.dtype(dtype)
         if dtype not in self.corners:
             self.corners[dtype] = np.empty(self.index.size, dtype=dtype)
@@ -209,43 +208,20 @@ class GatherBuffers:
         return self.index[: 16 * n].reshape(shape), self.corners[dtype][: 16 * n].reshape(shape)
 
 
-def codes_at(
-    sums: np.ndarray, x: np.ndarray, y: np.ndarray, bw, bh, checked: bool = True,
-    *, buffers: GatherBuffers | None = None,
-) -> np.ndarray:
+def codes_at(sums: np.ndarray, x: np.ndarray, y: np.ndarray, bw, bh, buffers: GatherBuffers):
     """Pattern codes of 3x3 block grids at many origins (vectorized).
 
-    sums is a prefix table; x and y are equal-length origin arrays. The
-    block size bw x bh is one for all grids, or arrays that broadcast
+    sums is a prefix table; x and y are equal-length int64 origin arrays.
+    The block size bw x bh is one for all grids, or arrays that broadcast
     against x and y, one size per grid. Returns uint8 codes. All 16
-    corners of every grid come from one read of the flattened table; a
-    grid that leaves the table is a BoundsError. A caller that has proven
-    every grid inside the table passes checked=False to skip the check:
-    ``scan_lattices`` does, after comparing the table with the plan's reach.
+    corners of every grid come from one read of the flattened table, into
+    buffers (``GatherBuffers``).
 
-    The corner index and the corners go into buffers, which a caller may
-    hold from call to call (``GatherBuffers``); without them the call makes
-    its own. ``scan_lattices`` passes its plan's, so a scan is not
-    reentrant: two threads must not scan with one plan at once. Nothing
-    scans from two threads.
+    There is no bounds check: the read wraps, so a grid that leaves the
+    table gives a wrong code, not an error. The caller proves every grid
+    inside the table; ``scan_lattices``, the one caller, does so once a
+    frame by comparing the table with its plan's reach.
     """
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    h1, w1 = sums.shape
-    # the flat read wraps across rows, so every grid must lie in the table
-    if checked and x.size and (
-        min(x.min(), y.min()) < 0
-        or np.max(x + 3 * bw) >= w1
-        or np.max(y + 3 * bh) >= h1
-    ):
-        bw, bh = np.broadcast_to(bw, x.shape), np.broadcast_to(bh, x.shape)
-        k = np.flatnonzero((x < 0) | (y < 0) | (x + 3 * bw >= w1) | (y + 3 * bh >= h1))[0]
-        raise BoundsError(
-            f"the grid of {bw[k]}x{bh[k]} blocks at ({x[k]}, {y[k]}) "
-            f"leaves the {w1 - 1}x{h1 - 1} table"
-        )
-    if buffers is None:
-        buffers = GatherBuffers(x.size)
     return _codes(_gather(sums, x, y, bw, bh, buffers))
 
 
@@ -570,7 +546,7 @@ def _later_weaks(sums, plan, idx, acc, codes):
             c = memo.pop(f, None)
             if c is None:
                 fx, fy, fbw, fbh = plan.grid[:, :, f].take(s, axis=1)
-                c = codes_at(sums, x + fx, y + fy, fbw, fbh, False, buffers=plan.buffers)
+                c = codes_at(sums, x + fx, y + fy, fbw, fbh, plan.buffers)
             if plan.reuse[wi]:
                 memo[f] = c
             v = plan.votes[wi].take(c)
@@ -590,8 +566,8 @@ def scan_lattices(sums, plan: ScanPlan) -> np.ndarray:
     Returns one flat bool mask over all scales' lattices (see ScanPlan);
     True where every stage sum met its threshold. A table smaller than the
     plan's reach is a BoundsError, checked once here: the gathers after it
-    skip their own check. The dense prefix's survivors run the later weaks
-    in chunks of SCAN_CHUNK.
+    have no check of their own. The dense prefix's survivors run the later
+    weaks in chunks of SCAN_CHUNK.
     """
     (w, h), (h1, w1) = plan.reach, sums.shape
     if w >= w1 or h >= h1:

@@ -208,30 +208,20 @@ def lbp_code(ii: np.ndarray, f: MbLbpFeature, origin, scale: float = 1.0) -> int
     return code
 
 
-def eval_weak(ii, w: WeakClassifier, model: CascadeModel, origin, scale: float = 1.0) -> float:
-    code = lbp_code(ii, model.features[w.feature_index], origin, scale)
-    return w.leaf_in if subset_contains(w.subset, code) else w.leaf_out
-
-
-def eval_window_trace(ii, model: CascadeModel, origin, scale: float = 1.0):
-    """(accepted, rejecting_stage) where rejecting_stage is None on accept.
+def eval_window(ii, model: CascadeModel, origin, scale: float = 1.0) -> bool:
+    """True when every stage's vote sum at origin meets its threshold.
 
     Stages evaluate in order; the first stage whose vote sum falls below
     its threshold rejects and later stages are never touched.
     """
-    for si, stage in enumerate(model.stages):
+    for stage in model.stages:
         total = 0.0
         for w in stage.weaks:
             code = lbp_code(ii, model.features[w.feature_index], origin, scale)
             total += w.leaf_in if subset_contains(w.subset, code) else w.leaf_out
         if total < stage.threshold:
-            return False, si
-    return True, None
-
-
-def eval_window(ii, model: CascadeModel, origin, scale: float = 1.0) -> bool:
-    accepted, _ = eval_window_trace(ii, model, origin, scale)
-    return accepted
+            return False
+    return True
 
 
 def save_model(model: CascadeModel) -> str:
@@ -292,19 +282,16 @@ def load_model(text: str) -> CascadeModel:
     return CascadeModel(tuple(features), tuple(stages), *window)
 
 
-def _reverse_bits8(code: int) -> int:
-    out = 0
-    for b in range(8):
-        if code & (1 << b):
-            out |= 1 << (7 - b)
-    return out
+# _REVERSED[c] is code c with its bit order reversed: bit b moves to 7 - b
+_REVERSED = np.packbits(
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1), axis=1, bitorder="little"
+).ravel()
 
 
 def _remap_subset_reversed(words) -> tuple:
     """Reinterpret a subset stored under the opposite neighbor bit order."""
-    return subset_from_codes(
-        c for c in range(256) if subset_contains(words, _reverse_bits8(c))
-    )
+    mask = subset_mask(words)[_REVERSED]
+    return tuple(np.packbits(mask, bitorder="little").view("<u4").tolist())
 
 
 def _line_of(text: str, token: str):

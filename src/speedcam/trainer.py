@@ -271,16 +271,13 @@ def _stage_scores(stage: Stage, cache: SampleCache) -> np.ndarray:
 
 
 def train_stage(
-    samples: list[TrainSample],
-    features: np.ndarray,
-    config: TrainConfig,
-    cache: SampleCache | None = None,
+    samples: list[TrainSample], features: np.ndarray, config: TrainConfig, cache: SampleCache
 ) -> Stage:
     """Boost weaks until the cap (or a perfect weak), then set the threshold.
 
     features is ``enumerate_features``' (n, 4) table; a weak's
-    ``feature_index`` is its row. ``cache``, when given, holds the codes of
-    these samples and features in this order, and no other is built.
+    ``feature_index`` is its row. cache holds the codes of these samples
+    and features in this order (``build_cache``).
 
     Weights start uniform. The threshold is the largest value passing at
     least stage_tpr_target of the positive training samples: the k-th
@@ -288,8 +285,6 @@ def train_stage(
     """
     if {s.label for s in samples} != {POSITIVE, NEGATIVE}:
         raise ConfigError("training a stage needs both positive and negative samples")
-    if cache is None:
-        cache = build_cache(samples, features)
     n = len(samples)
     current = [TrainSample(s.window, s.label, 1.0 / n) for s in samples]
     folded = []

@@ -42,6 +42,14 @@ def naive_lbp_code(pixels: np.ndarray, bx, by, bw, bh, origin, scale) -> int:
     return code
 
 
+def naive_weak_vote(pixels: np.ndarray, model, weak, origin, scale=1.0) -> float:
+    """A weak's vote at origin: leaf_in when bit c of its subset words holds
+    the code c of its feature (``naive_lbp_code``), else leaf_out."""
+    f = model.features[weak.feature_index]
+    code = naive_lbp_code(pixels, f.bx, f.by, f.bw, f.bh, origin, scale)
+    return weak.leaf_in if weak.subset[code // 32] >> (code % 32) & 1 else weak.leaf_out
+
+
 def count_features(window_w: int, window_h: int, stride: int) -> int:
     """Brute-force feature count: anchors on the stride grid, all block sizes."""
     count = 0

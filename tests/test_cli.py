@@ -782,6 +782,20 @@ def test_records_list_search_delete_cycle(capsys, tmp_path):
     assert capsys.readouterr().out == ""
 
 
+def test_records_list_escapes_a_location_that_would_forge_columns_and_rows(capsys, tmp_path):
+    store_dir = tmp_path / "store"
+    store = capture.RecordStore(store_dir)
+    store.append(make_record(50.0, "Main St\n2\tforged\tline", TIMES[0]), b"img")
+    store.append(make_record(60.0, "C:\\x\r\\t", TIMES[1]), b"img")
+    capsys.readouterr()
+    assert run(["records", "list", "--store", str(store_dir)]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines.pop() == ""
+    assert [len(line.split("\t")) for line in lines] == [6, 6]
+    assert lines[0].split("\t")[2] == "Main St\\n2\\tforged\\tline"
+    assert lines[1].split("\t")[2] == "C:\\\\x\\r\\\\t"
+
+
 def test_upload_command_against_live_server(capsys, tmp_path):
     from speedcam.uplink import serve_ingest
 

@@ -202,7 +202,7 @@ def test_scan_plan_is_built_once_per_model_params_and_size(patch_case, monkeypat
 
 
 def test_group_empty_input():
-    assert group_rects([], DetectorParams()) == []
+    assert group_rects([], DetectorParams(), 24) == []
 
 
 def test_group_identical_rects_fuse():
@@ -225,7 +225,7 @@ def test_group_closes_transitively():
     # a~b and b~c but a and c differ by 12 > eps*mean width
     a, b, c = Rect(0, 0, 40, 40), Rect(6, 0, 40, 40), Rect(12, 0, 40, 40)
     params = DetectorParams(min_neighbors=3, group_eps=0.2)
-    dets = group_rects([a, b, c], params)
+    dets = group_rects([a, b, c], params, 40)
     assert len(dets) == 1
     assert dets[0].rect == Rect(6, 0, 40, 40)
 
@@ -263,7 +263,7 @@ def test_group_matches_closure_oracle_on_random_rects():
                     k,
                 )
             )
-        got = group_rects(rects, params)
+        got = group_rects(rects, params, 24)
         key = lambda item: (item[0].x, item[0].y, item[0].w, item[0].h, item[1])
         assert sorted(((d.rect, d.neighbors) for d in got), key=key) == sorted(
             expected, key=key
@@ -297,8 +297,8 @@ def test_group_matches_closure_oracle_on_dense_touching_clusters():
         members = [rects[i] for i in members_idx]
         k = len(members)
         mean = [round_half_up(sum(getattr(r, f) for r in members) / k) for f in "xywh"]
-        expected.append(Detection(Rect(*mean), 1.0, k))
-    got = group_rects(rects, DetectorParams(min_neighbors=1, group_eps=eps))
+        expected.append(Detection(Rect(*mean), mean[3] / 16, k))
+    got = group_rects(rects, DetectorParams(min_neighbors=1, group_eps=eps), 16)
     assert sorted(map(_det_key, got)) == sorted(map(_det_key, expected))
 
 
@@ -324,7 +324,7 @@ def test_group_memory_stays_within_blocks_of_the_frontier():
     rects = [Rect(int(x), 0, 32, 16) for x in xs]
     tracemalloc.start()
     try:
-        dets = group_rects(rects, DetectorParams(min_neighbors=1, group_eps=0.2))
+        dets = group_rects(rects, DetectorParams(min_neighbors=1, group_eps=0.2), 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -337,7 +337,7 @@ def test_group_sorts_by_area_then_position():
     far = [Rect(100, 100, 30, 30)] * 3
     near = [Rect(0, 0, 30, 30)] * 3
     big = [Rect(50, 50, 60, 60)] * 3
-    dets = group_rects(big + far + near, DetectorParams(min_neighbors=3))
+    dets = group_rects(big + far + near, DetectorParams(min_neighbors=3), 30)
     assert [d.rect for d in dets] == [
         Rect(50, 50, 60, 60),
         Rect(0, 0, 30, 30),

@@ -301,9 +301,10 @@ def test_trained_model_text_is_pinned(monkeypatch, case):
 
 
 # sha256 of the seeded store's ``records list`` stdout, ``records.log`` and
-# ``build_payload`` JSON
+# ``build_payload`` JSON. The listing prints the tab in the A4 record's
+# location as ``\t``
 STORE_GOLDEN = {
-    "records list": "3222f219884778b353d73a6ea2b96c8585a6ad891ddb76dc091185e7ae093a22",
+    "records list": "2d4421cf3ed7f221a8d7dc33b3c5c809f0ac524d71fa37464bb08195af2f789a",
     "records.log": "aaf6a12b31bbeac3ba82ed73b4ed73162fbfeb8f021bdbada037ba538554dc31",
     "payload": "aefdc95ef580510e1c4767dd1098d2cf71720a7a92b3608a15b5227ff7f91534",
 }
@@ -334,7 +335,7 @@ def test_record_store_outputs_are_pinned(seeded_store, capsys):
     capsys.readouterr()
     assert run(["records", "list", "--store", str(seeded_store)]) == 0
     listed = capsys.readouterr().out
-    assert len(listed.splitlines()) == 5
+    assert [len(line.split("\t")) for line in listed.splitlines()] == [6] * 5
     payload, warnings = uplink.build_payload(capture.RecordStore(seeded_store))
     assert warnings == [
         "record 5: image vehicle_picture_2016-09-27_02_32_02.jpg missing, "

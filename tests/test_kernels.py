@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import naive_weak_vote
 from speedcam import detector, imaging, kernels, mblbp, trainer
 from speedcam.errors import BoundsError
 from speedcam.imaging import Frame, Rect, round_half_up
@@ -54,46 +55,38 @@ def test_codes_at_matches_scalar_path():
     px = rng.integers(0, 256, (30, 44), np.uint8)
     ii = imaging.integral(Frame(44, 30, px))
     wrapped = imaging.integral(Frame(44, 30, px), kernels.TABLE_DTYPE)
-    # held buffers, at first too small for a gather of 196 windows
-    buffers = kernels.GatherBuffers(60)
+    # held buffers: one gather of 196 windows fills them
+    buffers = kernels.GatherBuffers(196)
     for bw, bh in [(1, 1), (3, 2), (5, 7)]:
         xs = np.arange(0, 44 - 3 * bw + 1, 3, dtype=np.int64)
         ys = np.arange(0, 30 - 3 * bh + 1, 2, dtype=np.int64)
         gx = np.repeat(xs, ys.size)
         gy = np.tile(ys, xs.size)
-        got = kernels.codes_at(ii, gx, gy, bw, bh)
         want = [
             mblbp.lbp_code(ii, mblbp.MbLbpFeature(0, 0, bw, bh), (int(x), int(y)))
             for x, y in zip(gx, gy)
         ]
-        assert got.tolist() == want
         for table in (ii, wrapped):
-            assert kernels.codes_at(table, gx, gy, bw, bh, buffers=buffers).tolist() == want
-    assert buffers.index.size == 16 * 196
+            assert kernels.codes_at(table, gx, gy, bw, bh, buffers).tolist() == want
 
 
-@pytest.mark.parametrize(
-    "shift",
-    [None, (-1, 0), (0, -1), (1, 0), (0, 1)],
-    ids=["fits", "x<0", "y<0", "x+1", "y+1"],
-)
-def test_codes_at_rejects_grids_outside_the_table(shift):
-    # 13x10 frame, 3x2 blocks: the last grid that fits starts at (4, 4)
-    rng = np.random.default_rng(6)
-    ii = imaging.integral(Frame(13, 10, rng.integers(0, 256, (10, 13), np.uint8)))
-    x = np.array([0, 2, 4], np.int64)
-    y = np.array([0, 3, 4], np.int64)
-    if shift is None:
-        got = kernels.codes_at(ii, x, y, 3, 2)
-        f = mblbp.MbLbpFeature(0, 0, 3, 2)
-        assert got.tolist() == [mblbp.lbp_code(ii, f, (int(a), int(b))) for a, b in zip(x, y)]
-        return
-    # only one grid leaves the table: the corner one, or the origin one
-    k = 2 if shift[0] + shift[1] > 0 else 0
-    x[k] += shift[0]
-    y[k] += shift[1]
-    with pytest.raises(BoundsError):
-        kernels.codes_at(ii, x, y, 3, 2)
+def test_a_gather_larger_than_its_buffers_raises_and_writes_nothing_past_them():
+    rng = np.random.default_rng(7)
+    ii = imaging.integral(Frame(40, 30, rng.integers(0, 256, (30, 40), np.uint8)))
+    x = np.arange(9, dtype=np.int64)
+    y = np.zeros(9, np.int64)
+    buffers = kernels.GatherBuffers(8)
+    # the buffers are the front of larger arrays, whose tails hold a sentinel
+    index = np.full(16 * 9, -7, np.int64)
+    corners = np.full(16 * 9, -7, np.int64)
+    buffers.index = index[: 16 * 8]
+    buffers.corners = {ii.dtype: corners[: 16 * 8]}
+    want = [mblbp.lbp_code(ii, mblbp.MbLbpFeature(0, 0, 1, 1), (int(v), 0)) for v in x[:8]]
+    assert kernels.codes_at(ii, x[:8], y[:8], 1, 1, buffers).tolist() == want
+    with pytest.raises(ValueError):
+        kernels.codes_at(ii, x, y, 1, 1, buffers)
+    assert (index[16 * 8 :] == -7).all() and (corners[16 * 8 :] == -7).all()
+    assert buffers.index.base is index and buffers.corners[ii.dtype].base is corners
 
 
 def test_codes_stack_matches_scalar_path():
@@ -343,13 +336,18 @@ def test_scan_lattices_rejection_is_exact_on_nonassociative_leaves_and_ties():
     assert outcomes == {False, True}
 
 
-def _patch_scan_case():
-    """A 60x40 frame, flat but for one textured 20x10 patch at (30, 20), and a
-    one-feature cascade that accepts the patch's code at (30, 20)."""
+def _patch_pixels():
+    """A 60x40 frame, flat but for one textured 20x10 patch at (30, 20)."""
     rng = np.random.default_rng(8)
     px = np.full((40, 60), 128, np.uint8)
     px[20:30, 30:50] = rng.integers(0, 256, (10, 20), np.uint8)
-    ii = imaging.integral(Frame(60, 40, px))
+    return px
+
+
+def _patch_scan_case():
+    """The prefix table of ``_patch_pixels`` and a one-feature cascade that
+    accepts the patch's code at (30, 20)."""
+    ii = imaging.integral(Frame(60, 40, _patch_pixels()))
     feature = mblbp.MbLbpFeature(1, 1, 4, 2)
     code = mblbp.lbp_code(ii, feature, (30, 20))
     assert code != mblbp.lbp_code(ii, feature, (0, 0))
@@ -425,11 +423,12 @@ def test_scan_lattices_scores_later_weaks_on_survivors_only(monkeypatch):
     model = mblbp.CascadeModel(feats, (mblbp.Stage(2.0, (weak0, other)),), 20, 10)
     got, calls = _counted_scan(monkeypatch, ii, model)
     stride, nx, ny = _patch_lattice()
+    px = _patch_pixels()
     hits = {
         (x, y)
         for y in range(0, ny * stride, stride)
         for x in range(0, nx * stride, stride)
-        if mblbp.eval_weak(ii, weak0, model, (x, y)) == 1.0
+        if naive_weak_vote(px, model, weak0, (x, y)) == 1.0
     }
     assert 0 < len(hits) < nx * ny
     assert len(calls) == 1  # one band, one gathered weak
@@ -470,12 +469,13 @@ def test_scan_lattices_gathers_a_later_weak_once_over_every_scale(monkeypatch):
     grid = np.stack(mblbp.scaled_feature_arrays(feats, np.ones(2)))
     plan = kernels.ScanPlan(model, *(np.array(v, np.int64) for v in zip(*lattices)), grid)
     assert plan.wcheck.tolist() == [True, True]
+    px = _patch_pixels()
     hits = [
         [
             (x, y)
             for y in range(0, ny * stride, stride)
             for x in range(0, nx * stride, stride)
-            if mblbp.eval_weak(ii, weak0, model, (x, y)) == 1.0
+            if naive_weak_vote(px, model, weak0, (x, y)) == 1.0
         ]
         for stride, nx, ny in lattices
     ]
@@ -506,7 +506,7 @@ def test_scan_lattices_gathers_the_rest_of_stage_0_after_a_band_that_drops_nothi
     stride, nx, ny = 2, (60 - 6) // 2 + 1, (40 - 6) // 2 + 1
     xs, ys = range(0, nx * stride, stride), range(0, ny * stride, stride)
     first = np.array(
-        [[mblbp.eval_weak(ii, weaks[0], model, (x, y)) == 1.0 for x in xs] for y in ys]
+        [[naive_weak_vote(px, model, weaks[0], (x, y)) == 1.0 for x in xs] for y in ys]
     )
     want = np.array([[mblbp.eval_window(ii, model, (x, y)) for x in xs] for y in ys])
     # bands of 4 rows: the first two are flat, the later ones lose windows
@@ -722,11 +722,12 @@ def test_a_table_that_wraps_past_2_32_gives_the_int64_codes_and_mask():
     assert 0 < np.count_nonzero(ii >= k) < ii.size
     gx, gy = np.meshgrid(np.arange(0, 46), np.arange(0, 32))
     x, y = gx.reshape(-1), gy.reshape(-1)
+    buffers = kernels.GatherBuffers(x.size)
     for bw, bh in [(1, 1), (3, 2), (4, 3)]:
         fits = (x + 3 * bw <= 60) & (y + 3 * bh <= 40)
         assert np.array_equal(
-            kernels.codes_at(wrapped, x[fits], y[fits], bw, bh),
-            kernels.codes_at(ii, x[fits], y[fits], bw, bh),
+            kernels.codes_at(wrapped, x[fits], y[fits], bw, bh, buffers),
+            kernels.codes_at(ii, x[fits], y[fits], bw, bh, buffers),
         )
     outcomes = set()
     for _ in range(8):
@@ -874,6 +875,21 @@ def test_a_plan_for_a_larger_frame_than_the_table_is_a_bounds_error():
             kernels.scan_lattices(table, plan)
 
 
+@pytest.mark.parametrize("w, h", [(58, 39), (59, 38)])
+def test_a_table_smaller_than_the_plan_reach_is_refused_before_any_gather(monkeypatch, w, h):
+    ii, model = _patch_scan_case()
+    plan = _lattice_plan(model, *_patch_lattice())
+    assert plan.reach == (59, 39)  # the smallest frame that holds every grid
+    calls = _count_codes_at(monkeypatch)
+    kernels.scan_lattices(ii, plan)
+    assert calls  # the full table's scan gathers stage 1
+    calls.clear()
+    table = imaging.integral(Frame(w, h, _patch_pixels()[:h, :w]))
+    with pytest.raises(BoundsError, match="past the"):
+        kernels.scan_lattices(table, plan)
+    assert calls == []
+
+
 def test_a_dense_band_holds_no_more_than_a_full_gather():
     # 22x20-pixel blocks at stride 3 (9 table entries a window, 440 pixels)
     # take the corner read of the uint32 table, the costliest; 21x24 blocks
@@ -909,7 +925,7 @@ def test_a_dense_band_holds_no_more_than_a_full_gather():
         bws, bhs = np.full(x.size, bw), np.full(x.size, bh)
 
         def gather():
-            return kernels.codes_at(ii, x, y, bws, bhs, False, buffers=plan.buffers)
+            return kernels.codes_at(ii, x, y, bws, bhs, plan.buffers)
 
         gather()
         index, corners = plan.buffers.views(kernels.SCAN_CHUNK, ii.dtype)
@@ -939,7 +955,8 @@ def test_codes_bit_order_matches_lbp_code_on_every_layout():
     # flat (4, 4, n): codes_at at the nine grids of a 3x27 strip
     strip = imaging.integral(Frame(27, 3, np.hstack(grids)))
     x = np.arange(0, 27, 3, dtype=np.int64)
-    assert kernels.codes_at(strip, x, np.zeros(9, np.int64), 1, 1).tolist() == want
+    buffers = kernels.GatherBuffers(9)
+    assert kernels.codes_at(strip, x, np.zeros(9, np.int64), 1, 1, buffers).tolist() == want
     # lattice (4, 4, ny, nx): the grids tiled 3 high and 3 wide
     tiles = np.vstack([np.hstack(grids[r * 3 : r * 3 + 3]) for r in range(3)])
     sums = imaging.integral(Frame(9, 9, tiles))

@@ -1,5 +1,7 @@
 """Pattern codes, cascade evaluation, and model serialization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -175,31 +177,26 @@ def test_subset_rejects_out_of_range_code():
 # --- weak and stage evaluation ---
 
 
+def _votes(ii, subset, leaf_in, leaf_out, vote) -> bool:
+    """Whether a one-weak model's weak votes exactly vote at (0, 0): eval_window
+    accepts at a stage threshold of vote and rejects at the next float up."""
+    at = _unit_feature_model(subset, leaf_in, leaf_out, vote)
+    above = _unit_feature_model(subset, leaf_in, leaf_out, math.nextafter(vote, math.inf))
+    return mblbp.eval_window(ii, at, (0, 0)) and not mblbp.eval_window(ii, above, (0, 0))
+
+
 def test_eval_weak_membership_picks_leaf():
     ii = _ii([[9, 1, 9], [1, 5, 1], [9, 1, 9]])
-    model = _unit_feature_model(subset_from_codes([170]), 2.5, -1.25)
-    weak = model.stages[0].weaks[0]
-    assert mblbp.eval_weak(ii, weak, model, (0, 0)) == 2.5
+    subset = subset_from_codes([170])
+    assert _votes(ii, subset, 2.5, -1.25, 2.5)
     uniform = _ii([[7] * 3] * 3)
-    assert mblbp.eval_weak(uniform, weak, model, (0, 0)) == -1.25
+    assert _votes(uniform, subset, 2.5, -1.25, -1.25)
 
 
 def test_eval_weak_empty_and_full_subsets():
     ii = _ii([[9, 1, 9], [1, 5, 1], [9, 1, 9]])
-    model = _unit_feature_model(EMPTY, 2.0, -3.0)
-    assert mblbp.eval_weak(ii, model.stages[0].weaks[0], model, (0, 0)) == -3.0
-    model = _unit_feature_model(FULL, 2.0, -3.0)
-    assert mblbp.eval_weak(ii, model.stages[0].weaks[0], model, (0, 0)) == 2.0
-
-
-def test_eval_window_trace_reports_rejecting_stage():
-    ii = _ii([[7] * 3] * 3)
-    accept = _unit_feature_model(FULL)
-    assert mblbp.eval_window_trace(ii, accept, (0, 0)) == (True, None)
-    assert mblbp.eval_window(ii, accept, (0, 0)) is True
-    reject = _unit_feature_model(EMPTY)
-    assert mblbp.eval_window_trace(ii, reject, (0, 0)) == (False, 0)
-    assert mblbp.eval_window(ii, reject, (0, 0)) is False
+    assert _votes(ii, EMPTY, 2.0, -3.0, -3.0)
+    assert _votes(ii, FULL, 2.0, -3.0, 2.0)
 
 
 def test_eval_window_trace_second_stage_reject():
@@ -213,7 +210,9 @@ def test_eval_window_trace_second_stage_reject():
         3,
         3,
     )
-    assert mblbp.eval_window_trace(ii, model, (0, 0)) == (False, 1)
+    first = CascadeModel(model.features, model.stages[:1], 3, 3)
+    assert mblbp.eval_window(ii, first, (0, 0)) is True
+    assert mblbp.eval_window(ii, model, (0, 0)) is False
 
 
 def test_rejection_skips_later_stages(monkeypatch):
@@ -230,12 +229,12 @@ def test_rejection_skips_later_stages(monkeypatch):
     calls = []
     real = mblbp.lbp_code
     monkeypatch.setattr(mblbp, "lbp_code", lambda *a, **k: calls.append(1) or real(*a, **k))
-    assert mblbp.eval_window_trace(ii, model, (0, 0)) == (False, 0)
+    assert mblbp.eval_window(ii, model, (0, 0)) is False
     assert len(calls) == 1
 
     calls.clear()
     accept_first = CascadeModel(model.features, (Stage(-10.0, model.stages[0].weaks),) + model.stages[1:], 3, 3)
-    assert mblbp.eval_window_trace(ii, accept_first, (0, 0)) == (True, None)
+    assert mblbp.eval_window(ii, accept_first, (0, 0)) is True
     assert len(calls) == 6
 
 
@@ -245,8 +244,8 @@ def test_trace_agrees_with_exhaustive_evaluation():
         model = _random_model(rng)
         px = rng.integers(0, 256, (9, 12), np.uint8)
         ii = imaging.integral(Frame(12, 9, px))
-        expected = (True, None)
-        for si, stage in enumerate(model.stages):
+        expected = True
+        for stage in model.stages:
             total = sum(
                 w.leaf_in
                 if subset_contains(w.subset, lbp_code(ii, model.features[w.feature_index], (0, 0)))
@@ -254,9 +253,9 @@ def test_trace_agrees_with_exhaustive_evaluation():
                 for w in stage.weaks
             )
             if total < stage.threshold:
-                expected = (False, si)
+                expected = False
                 break
-        assert mblbp.eval_window_trace(ii, model, (0, 0)) == expected
+        assert mblbp.eval_window(ii, model, (0, 0)) is expected
 
 
 # --- model validation ---

@@ -539,9 +539,9 @@ def test_train_stage_separates_training_data():
     samples = pos + neg
     features = enumerate_features(6, 6)
     config = TrainConfig(max_weaks_per_stage=4, n_stages=1, stage_tpr_target=1.0)
-    stage = train_stage(samples, features, config)
-    assert len(stage.weaks) == 1  # perfect weak stops the loop
     cache = build_cache(samples, features)
+    stage = train_stage(samples, features, config, cache)
+    assert len(stage.weaks) == 1  # perfect weak stops the loop
     scores = trainer._stage_scores(stage, cache)
     passed = scores >= stage.threshold
     assert passed[cache.positive].all()
@@ -553,8 +553,8 @@ def test_train_stage_threshold_is_min_positive_score_at_full_tpr():
     samples = pos + neg
     features = enumerate_features(6, 6)
     config = TrainConfig(max_weaks_per_stage=3, n_stages=1, stage_tpr_target=1.0)
-    stage = train_stage(samples, features, config)
     cache = build_cache(samples, features)
+    stage = train_stage(samples, features, config, cache)
     scores = trainer._stage_scores(stage, cache)
     assert stage.threshold == pytest.approx(scores[cache.positive].min())
 
@@ -570,8 +570,8 @@ def test_train_stage_reaches_tpr_target_on_noisy_labels():
     ]
     features = enumerate_features(6, 6)
     config = TrainConfig(max_weaks_per_stage=5, n_stages=1, stage_tpr_target=0.9)
-    stage = train_stage(samples, features, config)
     cache = build_cache(samples, features)
+    stage = train_stage(samples, features, config, cache)
     scores = trainer._stage_scores(stage, cache)
     tpr = (scores[cache.positive] >= stage.threshold).mean()
     assert tpr >= 0.9
@@ -581,7 +581,8 @@ def test_train_stage_reaches_tpr_target_on_noisy_labels():
 def test_train_stage_weak_leaves_carry_alpha():
     pos, neg = _separable_samples()
     config = TrainConfig(max_weaks_per_stage=2, n_stages=1)
-    stage = train_stage(pos + neg, enumerate_features(6, 6), config)
+    features = enumerate_features(6, 6)
+    stage = train_stage(pos + neg, features, config, build_cache(pos + neg, features))
     for w in stage.weaks:
         assert w.leaf_in > 0
         assert w.leaf_out == -w.leaf_in
@@ -589,8 +590,9 @@ def test_train_stage_weak_leaves_carry_alpha():
 
 def test_train_stage_requires_both_labels():
     pos, _ = _separable_samples()
+    features = enumerate_features(6, 6)
     with pytest.raises(ConfigError):
-        train_stage(pos, enumerate_features(6, 6), TrainConfig(2, 1))
+        train_stage(pos, features, TrainConfig(2, 1), build_cache(pos, features))
 
 
 def test_train_config_validation():
