@@ -244,8 +244,8 @@ def cmd_calibrate(args, clock):
     return 0
 
 
-# a location prints with its backslashes, tabs and line breaks escaped, so
-# that it cannot forge columns or rows of the listing
+# a location and a unit print with their backslashes, tabs and line breaks
+# escaped, so that they cannot forge columns or rows of the listing
 _TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
 
 
@@ -253,7 +253,7 @@ def _print_records(records):
     for r in records:
         print(
             f"{r.id}\t{r.vehicle_speed:g}\t{r.location.translate(_TSV_ESCAPES)}\t"
-            f"{r.capture_time}\t{r.picture_filename}\t{r.speed_unit}"
+            f"{r.capture_time}\t{r.picture_filename}\t{r.speed_unit.translate(_TSV_ESCAPES)}"
         )
 
 
@@ -284,14 +284,12 @@ def _wait_forever():
 
 
 def cmd_serve(args, clock):
-    server = uplink.serve_ingest(args.bind, args.data, max_bytes=args.max_bytes)
-    print(f"listening on {server.endpoint}", flush=True)
-    try:
-        _wait_forever()
-    except KeyboardInterrupt:
-        _log("shutting down")
-    finally:
-        server.shutdown()
+    with uplink.serve_ingest(args.bind, args.data, max_bytes=args.max_bytes) as server:
+        print(f"listening on {server.endpoint}", flush=True)
+        try:
+            _wait_forever()
+        except KeyboardInterrupt:
+            _log("shutting down")
     return 0
 
 

@@ -6,6 +6,9 @@ whole store uploads as one POST <endpoint>/uploadData with a JSON
 payload; the server validates the entire batch before persisting
 anything, so a request either lands completely or not at all.
 
+``serve_ingest`` returns the running ``ingest_http.IngestHTTPServer``.
+It and ``post_upload`` refuse a malformed address before any socket opens.
+
 The HTTP modules load on first use, not with this module: ``post_upload``
 imports the client modules when it is called, and ``serve_ingest`` imports
 ``speedcam.ingest_http``, the request handler and server classes, when it
@@ -16,11 +19,12 @@ import base64
 import binascii
 import json
 import re
-import threading
 from dataclasses import dataclass
+from urllib.parse import urlsplit
 
 from speedcam.capture import CaptureRecord, RecordStore
 from speedcam.errors import (
+    ConfigError,
     DecodeError,
     FormatError,
     PayloadSizeError,
@@ -135,10 +139,18 @@ def post_upload(
 ) -> UploadResponse:
     """POST the payload to <endpoint>/uploadData and parse the response.
 
-    The serialized size is checked against max_bytes before any network
-    I/O so an oversize batch never leaves the machine. A server that does
-    not answer within TIMEOUT_S is a TransportError.
+    The endpoint and the serialized size are checked before any network
+    I/O: an endpoint that is not an http or https URL with a host is a
+    ConfigError, and an oversize batch never leaves the machine. A server
+    that does not answer within TIMEOUT_S is a TransportError.
     """
+    try:
+        parts = urlsplit(endpoint)
+        parts.port  # noqa: B018 - raises ValueError unless a number in 0..65535
+    except ValueError:
+        parts = None
+    if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ConfigError(f"endpoint {endpoint!r} must be an http or https URL with a host")
     body = payload.to_json().encode("utf-8")
     if len(body) > max_bytes:
         raise PayloadSizeError(
@@ -208,50 +220,20 @@ def _parse_payload_records(doc) -> list[tuple[CaptureRecord, bytes]]:
     return out
 
 
-class IngestServer:
-    """Running ingest server handle; usable as a context manager."""
+def serve_ingest(bind: str, data_dir, max_bytes: int = DEFAULT_MAX_BYTES):
+    """The running ``ingest_http.IngestHTTPServer`` on host:port.
 
-    def __init__(self, httpd, thread: threading.Thread):
-        self._httpd = httpd
-        self._thread = thread
-
-    @property
-    def store(self) -> RecordStore:
-        return self._httpd.store
-
-    @property
-    def endpoint(self) -> str:
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def shutdown(self):
-        self._httpd.shutdown()
-        self._thread.join()
-        self._httpd.server_close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.shutdown()
-        return False
-
-
-def serve_ingest(
-    bind: str, data_dir, max_bytes: int = DEFAULT_MAX_BYTES
-) -> IngestServer:
-    """Start the mirror server on host:port (port 0 picks a free one).
-
-    The server's store uses the same directory layout as local capture,
-    so the usual record tools work on the ingested data.
+    Port 0 picks a free port. The server's store uses the same directory
+    layout as local capture, so the usual record tools work on the ingested
+    data. An address that cannot be bound is a TransportError naming it.
     """
     host, _, port_text = bind.rpartition(":")
-    if not host or not port_text.isdigit():
+    if not host or not re.fullmatch(r"[0-9]{1,5}", port_text) or int(port_text) > 65535:
         raise FormatError(f"bind address {bind!r} must be host:port")
     from speedcam.ingest_http import IngestHTTPServer
 
     store = RecordStore(data_dir)
-    httpd = IngestHTTPServer((host, int(port_text)), store, max_bytes)
-    thread = threading.Thread(target=httpd.serve_forever, name="ingest", daemon=True)
-    thread.start()
-    return IngestServer(httpd, thread)
+    try:
+        return IngestHTTPServer((host, int(port_text)), store, max_bytes)
+    except (OSError, TypeError) as exc:  # TypeError: a host name idna cannot encode
+        raise TransportError(f"cannot serve on {bind!r}: {exc}") from None

@@ -796,6 +796,20 @@ def test_records_list_escapes_a_location_that_would_forge_columns_and_rows(capsy
     assert lines[1].split("\t")[2] == "C:\\\\x\\r\\\\t"
 
 
+def test_records_list_escapes_a_unit_that_would_forge_columns_and_rows(capsys, tmp_path):
+    store_dir = tmp_path / "store"
+    capture.RecordStore(store_dir).append(make_record(50.0, "Main St", TIMES[0]), b"img")
+    log = store_dir / capture.LOG_NAME
+    doc = json.loads(log.read_text(encoding="utf-8"))
+    doc["speed_unit"] = "km\tforged\nrow"  # a hand-edited log line
+    log.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["records", "list", "--store", str(store_dir)]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines.pop() == ""
+    assert [line.split("\t")[5] for line in lines] == ["km\\tforged\\nrow"]
+
+
 def test_upload_command_against_live_server(capsys, tmp_path):
     from speedcam.uplink import serve_ingest
 
@@ -1109,3 +1123,49 @@ def test_detect_without_manifest_or_fps_is_a_domain_error(workflow, capsys, tmp_
     rc = run(["detect", "--frames", str(seq), "--model", str(workflow.model)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _one_error_line(capsys, name):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert name in err
+
+
+@pytest.mark.parametrize(
+    "bind",
+    ["127.0.0.1:70000", "127.0.0.1:99999999999999999999", "127.0.0.1:\u00b2",
+     "nohost.invalid:0", "[::1]:0", "\u00e9" * 70 + ":0"],
+    ids=["port-over-range", "port-past-c-long", "port-not-ascii", "unknown-host",
+         "bracketed-ipv6", "host-idna-cannot-encode"],
+)
+def test_serve_refuses_an_address_it_cannot_bind_with_one_error_line(capsys, tmp_path, bind):
+    assert run(["serve", "--bind", bind, "--data", str(tmp_path / "server")]) == 1
+    _one_error_line(capsys, repr(bind))
+
+
+def test_serve_on_a_port_already_served_is_one_error_line(capsys, tmp_path):
+    from speedcam.uplink import serve_ingest
+
+    with serve_ingest("127.0.0.1:0", tmp_path / "first") as server:
+        bind = "127.0.0.1:%d" % server.server_address[1]
+        assert run(["serve", "--bind", bind, "--data", str(tmp_path / "second")]) == 1
+    _one_error_line(capsys, repr(bind))
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    ["notaurl", "http://[::1", "ftp://x", "http://:80", "http://127.0.0.1:99999999999999999999"],
+)
+def test_upload_refuses_an_endpoint_that_is_not_an_http_url_before_connecting(
+    capsys, tmp_path, monkeypatch, endpoint
+):
+    import urllib.request
+
+    calls = []
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **k: calls.append(a))
+    store_dir = tmp_path / "client"
+    capture.RecordStore(store_dir).append(make_record(1.0, "loc", TIMES[0]), b"img")
+    capsys.readouterr()
+    assert run(["upload", "--store", str(store_dir), "--endpoint", endpoint]) == 1
+    _one_error_line(capsys, repr(endpoint))
+    assert calls == []

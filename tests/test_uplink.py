@@ -443,3 +443,47 @@ def test_serve_ingest_validates_bind():
         serve_ingest("localhost", "/tmp/nope")
     with pytest.raises(FormatError):
         serve_ingest("localhost:http", "/tmp/nope")
+
+
+@pytest.mark.parametrize("stop", ["shutdown", "with"])
+def test_a_stopped_server_refuses_connections_and_leaves_no_thread(tmp_path, stop):
+    def ingest_threads():
+        return [t for t in threading.enumerate() if t.name == "ingest" and t.is_alive()]
+
+    server = serve_ingest("127.0.0.1:0", tmp_path / "server")
+    assert isinstance(server, ingest_http.IngestHTTPServer)
+    assert len(ingest_threads()) == 1
+    if stop == "shutdown":
+        server.shutdown()
+    else:
+        with server:
+            pass
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(server.server_address[:2], timeout=5).close()
+    assert ingest_threads() == []
+
+
+@pytest.mark.parametrize(
+    "headers, status",
+    [
+        ("Content-Length: abc", 400),
+        ("Content-Length: 1000", 413),
+        ("Transfer-Encoding: chunked", 411),
+    ],
+    ids=["bad-length", "over-limit", "chunked"],
+)
+def test_a_refused_http11_client_reads_eof_after_the_response(tmp_path, headers, status):
+    # the handler speaks HTTP/1.0, so even a client that asked for 1.1 gets
+    # one response and then the end of the connection
+    with serve_ingest("127.0.0.1:0", tmp_path / "server", max_bytes=64) as server:
+        address = urllib.parse.urlsplit(server.endpoint)
+        request = f"POST /uploadData HTTP/1.1\r\nHost: x\r\n{headers}\r\n\r\n"
+        with socket.create_connection((address.hostname, address.port), timeout=5) as client:
+            client.sendall(request.encode("ascii"))
+            received = b""
+            while chunk := client.recv(65536):
+                received += chunk
+    head, _, body = received.partition(b"\r\n\r\n")
+    assert head.startswith(f"HTTP/1.0 {status} ".encode())
+    assert f"Content-Length: {len(body)}".encode() in head.split(b"\r\n")
+    assert json.loads(body)["received"] == 0
